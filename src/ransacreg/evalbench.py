@@ -9,9 +9,14 @@ d_rmse resolution units.
 Seeding: every trial derives scene/correspondence/engine/nuisance seeds
 from (base_seed, trial index, role) only, never from the swept value,
 so all sweep values and all metrics of one trial face the same scene and
-the same hypothesis stream. Threshold-like quantities (t, t_overlap,
-d_rmse) are configured in resolution units and bound to the resolution of
-the (possibly degraded) target cloud of each trial.
+the same hypothesis stream. Each trial therefore samples and solves one
+stream at the largest budget (one per sweep value on the axes that change
+the correspondences) and every (metric, value) cell only re-scores it: a
+`t` value is one more spec scored from the shared error pass, an
+`iterations` value an argmax over a prefix of the stream, and a `d_rmse`
+value a re-threshold of the same registration. Threshold-like quantities
+(t, t_overlap, d_rmse) are configured in resolution units and bound to the
+resolution of the (possibly degraded) target cloud of each trial.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .geom import PointCloud, RigidTransform
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, MetricKind, MetricSpec,
                       _pair_errors, evaluate_hypothesis,
                       evaluate_hypothesis_cloud)
-from .ransac import RansacConfig, run_ransac
+from .ransac import _sample_hypotheses, _score_hypotheses
 from .spatial import NeighborIndex, build_index
 from .synth import (CorrespondenceConfig, SceneConfig, ScenePair,
                     _hole_survivor_indices, _random_keep_indices,
@@ -148,9 +153,13 @@ class ExperimentRow:
 
     accuracy = correct trials / trials. mean_rmse_pr averages RMSE (in
     resolution units) over the CORRECT trials only (NaN when none).
-    mean_eval_time_s is the average metric-evaluation wall time per
-    registered pair; index_build_time_s the average target-index build
-    time per pair (0 for correspondence metrics).
+    mean_eval_time_s is the average scoring wall time per registered pair:
+    the trial's shared error (or nearest-neighbour) pass over the stream
+    plus this cell's own reduction, prorated to the cell's share of the
+    stream on the iterations axis. It is not the cost of a separate RANSAC
+    run, since sampling and solving are shared and excluded.
+    index_build_time_s is the average target-index build time per pair (0
+    for correspondence metrics).
     """
 
     metric: str
@@ -195,18 +204,6 @@ def _degrade_scene(scene: ScenePair, axis: str, value: float,
                      gt_pairs=pairs)
 
 
-@dataclass
-class _Prepared:
-    """Everything one (trial, sweep value) shares across metrics."""
-
-    clean: ScenePair
-    effective: ScenePair
-    corrs: CorrespondenceSet
-    pr: float
-    index: NeighborIndex | None = None
-    index_build_s: float = 0.0
-
-
 def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
                    corr_cfg: CorrespondenceConfig) -> list[ExperimentRow]:
     """Run the full sweep and return one row per (metric, sweep value).
@@ -214,86 +211,83 @@ def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
     scene_cfg and corr_cfg act as templates; their seeds are replaced by
     per-trial derived seeds. Row order is metric order x ascending sweep
     value. Everything except the timing fields replays bit-exactly for a
-    fixed configuration.
+    fixed configuration, and equals what one `run_ransac` call per
+    (trial, metric, value) would give.
     """
+    axis = cfg.sweep_axis
+    values = cfg.sweep_values
     n_metrics = len(cfg.metrics)
-    n_values = len(cfg.sweep_values)
+    n_values = len(values)
     needs_cloud = any(p.kind in CLOUD_KINDS for p in cfg.metrics)
+    budgets = [int(round(v)) if axis == "iterations" else cfg.iterations
+               for v in values]
+    if min(budgets) < 1:
+        raise BadConfig(f"iterations must be >= 1, got {min(budgets)}")
+    budget = max(budgets)
+    # Axes that change the correspondences need one stream per value.
+    if axis in _DATA_AXES or axis == "inlier_ratio":
+        groups = [[vi] for vi in range(n_values)]
+    else:
+        groups = [list(range(n_values))]
 
     correct = np.zeros((n_metrics, n_values), dtype=np.int64)
     rmse_pr_sum = np.zeros((n_metrics, n_values))
     eval_s_sum = np.zeros((n_metrics, n_values))
     build_s_sum = np.zeros((n_metrics, n_values))
 
-    scenes: dict[int, ScenePair] = {}
-    # Sweeping d_rmse only re-thresholds fixed results; run each
-    # (trial, metric) once and reuse.
-    memo: dict[tuple[int, int], tuple[float, float, float, float]] = {}
+    for trial in range(cfg.trials):
+        clean = generate_scene(replace(
+            scene_cfg, seed=_derive_seed(cfg.base_seed, trial, _ROLE_SCENE)))
+        for group in groups:
+            value = values[group[0]]
+            effective = clean
+            if axis in _DATA_AXES:
+                effective = _degrade_scene(
+                    clean, axis, value, cfg.hole_fraction,
+                    _derive_seed(cfg.base_seed, trial, _ROLE_NUISANCE))
+            ratio = value if axis == "inlier_ratio" else corr_cfg.inlier_ratio
+            corrs, _ = generate_correspondences(effective, replace(
+                corr_cfg, inlier_ratio=ratio,
+                seed=_derive_seed(cfg.base_seed, trial, _ROLE_CORR)))
+            pr = effective.target.resolution
+            index, build_s = None, 0.0
+            if needs_cloud:
+                t0 = time.perf_counter()
+                index = build_index(effective.target)
+                build_s = time.perf_counter() - t0
 
-    def prepare(trial: int, value: float) -> _Prepared:
-        if trial not in scenes:
-            scenes[trial] = generate_scene(replace(
-                scene_cfg, seed=_derive_seed(cfg.base_seed, trial, _ROLE_SCENE)))
-        clean = scenes[trial]
-        effective = clean
-        if cfg.sweep_axis in _DATA_AXES:
-            effective = _degrade_scene(
-                clean, cfg.sweep_axis, value, cfg.hole_fraction,
-                _derive_seed(cfg.base_seed, trial, _ROLE_NUISANCE))
-        ratio = value if cfg.sweep_axis == "inlier_ratio" else corr_cfg.inlier_ratio
-        corrs, _ = generate_correspondences(effective, replace(
-            corr_cfg, inlier_ratio=ratio,
-            seed=_derive_seed(cfg.base_seed, trial, _ROLE_CORR)))
-        prep = _Prepared(clean=clean, effective=effective, corrs=corrs,
-                         pr=effective.target.resolution)
-        if needs_cloud:
-            t0 = time.perf_counter()
-            prep.index = build_index(effective.target)
-            prep.index_build_s = time.perf_counter() - t0
-        return prep
-
-    for vi, value in enumerate(cfg.sweep_values):
-        iterations = (int(round(value)) if cfg.sweep_axis == "iterations"
-                      else cfg.iterations)
-        d_rmse_pr = value if cfg.sweep_axis == "d_rmse" else cfg.d_rmse_pr
-        for trial in range(cfg.trials):
-            prep: _Prepared | None = None
-            for mi, plan in enumerate(cfg.metrics):
-                key = (trial, mi)
-                if cfg.sweep_axis == "d_rmse" and key in memo:
-                    rm, eval_s, build_s, pr = memo[key]
-                else:
-                    if prep is None:
-                        prep = prepare(trial, value)
-                    spec = plan.bind(
-                        prep.pr, t_pr=value if cfg.sweep_axis == "t" else None)
-                    rcfg = RansacConfig(
-                        metric=spec, iterations=iterations,
-                        seed=_derive_seed(cfg.base_seed, trial, _ROLE_RANSAC))
-                    cloud_kind = plan.kind in CLOUD_KINDS
-                    result = run_ransac(
-                        rcfg, prep.corrs,
-                        source=prep.effective.source if cloud_kind else None,
-                        target_index=prep.index if cloud_kind else None)
-                    rm = rmse(result.best_transform, prep.clean.gt_pairs)
-                    eval_s = result.elapsed_eval_time
-                    build_s = prep.index_build_s if cloud_kind else 0.0
-                    pr = prep.pr
-                    if cfg.sweep_axis == "d_rmse":
-                        memo[key] = (rm, eval_s, build_s, pr)
+            rotations, translations = _sample_hypotheses(
+                corrs, _derive_seed(cfg.base_seed, trial, _ROLE_RANSAC), budget)
+            cells = {(mi, vi): plan.bind(pr, values[vi] if axis == "t" else None)
+                     for mi, plan in enumerate(cfg.metrics) for vi in group}
+            specs = tuple(dict.fromkeys(cells.values()))
+            scores, seconds = _score_hypotheses(rotations, translations, specs,
+                                                corrs, effective.source, index)
+            row_of = {spec: k for k, spec in enumerate(specs)}
+            rmse_of: dict[int, float] = {}
+            for (mi, vi), spec in cells.items():
+                k, n_hyp = row_of[spec], budgets[vi]
+                # np.argmax takes the first maximum: earliest-iteration tie rule.
+                best = int(np.argmax(scores[k, :n_hyp]))
+                if best not in rmse_of:
+                    rmse_of[best] = rmse(RigidTransform(
+                        rotations[best], translations[best]), clean.gt_pairs)
+                rm = rmse_of[best]
+                d_rmse_pr = values[vi] if axis == "d_rmse" else cfg.d_rmse_pr
                 if is_correct(rm, d_rmse_pr, pr):
                     correct[mi, vi] += 1
                     rmse_pr_sum[mi, vi] += rm / pr
-                eval_s_sum[mi, vi] += eval_s
-                build_s_sum[mi, vi] += build_s
+                eval_s_sum[mi, vi] += seconds[k] * (n_hyp / budget)
+                if spec.kind in CLOUD_KINDS:
+                    build_s_sum[mi, vi] += build_s
 
     rows = []
     for mi, plan in enumerate(cfg.metrics):
-        for vi, value in enumerate(cfg.sweep_values):
+        for vi, value in enumerate(values):
             n_ok = int(correct[mi, vi])
             rows.append(ExperimentRow(
                 metric=plan.kind.value,
-                sweep_axis=cfg.sweep_axis,
+                sweep_axis=axis,
                 sweep_value=value,
                 trials=cfg.trials,
                 accuracy=n_ok / cfg.trials,

@@ -14,6 +14,7 @@ an outlier.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -187,6 +188,15 @@ class HypothesisScore:
             raise ValueError(f"score must be finite, got {self.value}")
 
 
+def _require_kind(spec: MetricSpec, *, cloud: bool) -> None:
+    """Raise InvalidSpec unless `spec` compares whole clouds exactly when `cloud`."""
+    if (spec.kind in CLOUD_KINDS) == cloud:
+        return
+    hint = ("scores correspondences; use evaluate_hypothesis" if cloud
+            else "compares whole clouds; use evaluate_hypothesis_cloud")
+    raise InvalidSpec(f"{spec.kind} {hint}")
+
+
 def _errors_batch(rotations: np.ndarray, translations: np.ndarray,
                   sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Errors ||R p_s + t - p_t|| for a batch of transforms, shape (h, n).
@@ -284,9 +294,7 @@ def score_errors(spec: MetricSpec, errors) -> np.ndarray:
     The strict inlier test e < t picks the branch for every kind; see
     :func:`score_correspondence` for the per-kind formulas.
     """
-    if spec.kind in CLOUD_KINDS:
-        raise InvalidSpec(
-            f"{spec.kind} compares whole clouds; use evaluate_hypothesis_cloud")
+    _require_kind(spec, cloud=False)
     e = np.asarray(errors, dtype=np.float64)
     if e.ndim != 1:
         e = e.reshape(-1)
@@ -330,46 +338,81 @@ def _corr_value(spec: MetricSpec, rotation: np.ndarray, translation: np.ndarray,
 _BATCH_ELEMENTS = 131_072
 
 
-def _corr_values_batch(spec: MetricSpec, rotations: np.ndarray,
-                       translations: np.ndarray, sources: np.ndarray,
-                       targets: np.ndarray) -> np.ndarray:
-    """Scores of many (R, t) hypotheses against one correspondence set.
+def _score_pass(specs, h: int, blocks, reduce) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce every spec's scores from one shared pass over h hypotheses.
 
+    `blocks` lazily yields (hypothesis slice, shared data) pairs and
+    `reduce(spec, data)` turns one block's data into that spec's scores.
+    Returns (values, seconds): values[k, i] is specs[k]'s score of
+    hypothesis i; seconds[k] is the time spent producing the shared data
+    plus spec k's own reductions.
+    """
+    values = np.empty((len(specs), h))
+    own_s = np.zeros(len(specs))
+    shared_s = 0.0
+    t0 = time.perf_counter()
+    for where, data in blocks:  # advancing `blocks` runs the shared pass
+        t1 = time.perf_counter()
+        shared_s += t1 - t0
+        for k, spec in enumerate(specs):
+            values[k, where] = reduce(spec, data)
+            t0 = time.perf_counter()
+            own_s[k] += t0 - t1
+            t1 = t0
+    return values, shared_s + own_s
+
+
+def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
+                       sources: np.ndarray, targets: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of many (R, t) hypotheses against one correspondence set,
+    for several correspondence specs at once; see :func:`_score_pass`.
+
+    Each chunk of errors is computed once and reduced by every spec.
     Element-for-element identical to calling :func:`_corr_value` per
-    hypothesis: errors come from the batch-size-independent
+    hypothesis and spec: errors come from the batch-size-independent
     :func:`_errors_batch` kernel and each row is reduced exactly like a
     standalone 1-D sum.
     """
-    if spec.kind in CLOUD_KINDS:
-        raise InvalidSpec(
-            f"{spec.kind} compares whole clouds; use evaluate_hypothesis_cloud")
     h = rotations.shape[0]
-    n = sources.shape[0]
-    values = np.empty(h)
-    chunk = max(1, _BATCH_ELEMENTS // max(n, 1))
-    for lo in range(0, h, chunk):
-        hi = min(lo + chunk, h)
-        e = _errors_batch(rotations[lo:hi], translations[lo:hi],
-                          sources, targets)
-        values[lo:hi] = np.sum(_score_array(spec, e), axis=1)
-    return values
+    chunk = max(1, _BATCH_ELEMENTS // max(sources.shape[0], 1))
+    blocks = ((slice(lo, lo + chunk),
+               _errors_batch(rotations[lo:lo + chunk],
+                             translations[lo:lo + chunk], sources, targets))
+              for lo in range(0, h, chunk))
+    return _score_pass(specs, h, blocks,
+                       lambda spec, e: np.sum(_score_array(spec, e), axis=1))
 
 
-def _cloud_value(spec: MetricSpec, rotation: np.ndarray, translation: np.ndarray,
-                 points: np.ndarray, target_index: NeighborIndex) -> float:
-    moved = points @ rotation.T + translation
-    dists = target_index.nearest_distances(moved)
+def _cloud_distances(rotation: np.ndarray, translation: np.ndarray,
+                     points: np.ndarray, target_index: NeighborIndex
+                     ) -> np.ndarray:
+    """Nearest-target distance of every source point moved by (R, t)."""
+    return target_index.nearest_distances(points @ rotation.T + translation)
+
+
+def _cloud_score(spec: MetricSpec, dists: np.ndarray) -> float:
     if spec.kind is MetricKind.PC_DIST:
         return -float(np.mean(dists))
     return float(np.count_nonzero(dists < spec.t_overlap))
 
 
+def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
+                        points: np.ndarray, target_index: NeighborIndex
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Whole-cloud scores of many hypotheses for several cloud specs at
+    once, from one nearest-neighbour query per hypothesis; see
+    :func:`_score_pass`."""
+    h = rotations.shape[0]
+    blocks = ((i, _cloud_distances(rotations[i], translations[i], points,
+                                   target_index))
+              for i in range(h))
+    return _score_pass(specs, h, blocks, _cloud_score)
+
+
 def evaluate_hypothesis(spec: MetricSpec, transform: RigidTransform,
                         corrs: CorrespondenceSet) -> HypothesisScore:
     """Total score S(T) = sum of per-correspondence scores; empty set -> 0."""
-    if spec.kind in CLOUD_KINDS:
-        raise InvalidSpec(
-            f"{spec.kind} compares whole clouds; use evaluate_hypothesis_cloud")
     value = _corr_value(spec, transform.rotation, transform.translation,
                         corrs.sources, corrs.targets)
     return HypothesisScore(value, spec.kind)
@@ -384,14 +427,12 @@ def evaluate_hypothesis_cloud(spec: MetricSpec, transform: RigidTransform,
     its nearest target point (0 is perfect). overlap-count: number of
     transformed source points strictly within t_overlap of the target.
     """
-    if spec.kind not in CLOUD_KINDS:
-        raise InvalidSpec(
-            f"{spec.kind} scores correspondences; use evaluate_hypothesis")
+    _require_kind(spec, cloud=True)
     pts = getattr(source, "points", None)
     if pts is None:
         pts = np.asarray(source, dtype=np.float64)
     if pts.size == 0:
         raise EmptyCloud("source cloud is empty")
-    value = _cloud_value(spec, transform.rotation, transform.translation,
-                         pts, target_index)
-    return HypothesisScore(value, spec.kind)
+    dists = _cloud_distances(transform.rotation, transform.translation, pts,
+                             target_index)
+    return HypothesisScore(_cloud_score(spec, dists), spec.kind)

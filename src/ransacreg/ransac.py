@@ -7,6 +7,13 @@ iteration budget is fixed (no early exit) so different metrics see the
 same hypothesis stream, and the sample sequence is a pure function of the
 seed.
 
+The engine runs in two steps. `_sample_hypotheses` draws and solves the
+whole stream, which is a pure function of (correspondences, seed,
+budget); `_score_hypotheses` then scores it under any number of metric
+specs from one shared error or nearest-neighbour pass. `run_ransac` is the
+two steps with one spec plus an argmax; the benchmark harness scores one
+stream under every metric and sweep value.
+
 Internally the per-iteration solves run through a batched kernel whose
 arithmetic matches the public solver element for element, so replaying
 the trace with `sample_minimal` + `estimate_rigid_transform` +
@@ -25,7 +32,7 @@ from .errors import (BadConfig, MissingClouds, PersistentDegeneracy,
 from .geom import (DEGENERACY_AREA_FACTOR, RigidTransform, _estimate_rigid_batch,
                    cloud_resolution, triangle_area)
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, HypothesisScore,
-                      MetricSpec, _cloud_value, _corr_values_batch)
+                      MetricSpec, _cloud_values_batch, _corr_values_batch)
 from .spatial import NeighborIndex
 
 __all__ = [
@@ -57,6 +64,8 @@ class RansacConfig:
     degeneracy_retries: int = 100
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise BadConfig(f"seed must be non-negative, got {self.seed}")
         if self.iterations < 1:
             raise BadConfig(f"iterations must be >= 1, got {self.iterations}")
         if self.sample_size != SAMPLE_SIZE:
@@ -115,6 +124,59 @@ def sample_minimal(corrs: CorrespondenceSet, rng: np.random.Generator, *,
         f"no non-collinear sample in {degeneracy_retries + 1} attempts")
 
 
+def _sample_hypotheses(corrs: CorrespondenceSet, seed: int, iterations: int,
+                       degeneracy_retries: int = 100
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw `iterations` minimal samples with a generator seeded by `seed`
+    and solve each: the stream's (rotations (H, 3, 3), translations (H, 3)).
+
+    Row i is iteration i's hypothesis, so the first k rows do not depend
+    on the budget.
+    """
+    if corrs.n < SAMPLE_SIZE:
+        raise TooFewCorrespondences(
+            f"need >= {SAMPLE_SIZE} correspondences, got {corrs.n}")
+    rng = np.random.default_rng(seed)
+    min_area = _degeneracy_area(corrs)
+    triples = np.empty((iterations, SAMPLE_SIZE), dtype=np.intp)
+    for i in range(iterations):
+        triples[i] = sample_minimal(corrs, rng, min_triangle_area=min_area,
+                                    degeneracy_retries=degeneracy_retries)
+    return _estimate_rigid_batch(corrs.sources[triples], corrs.targets[triples])
+
+
+def _score_hypotheses(rotations: np.ndarray, translations: np.ndarray, specs,
+                      corrs: CorrespondenceSet, source=None,
+                      target_index: NeighborIndex | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Score every hypothesis of a stream under every spec.
+
+    Returns (values, seconds): values[k, i] is specs[k]'s score of
+    hypothesis i, and seconds[k] the time of the shared error (or
+    nearest-neighbour) pass plus spec k's own reductions. Correspondence
+    specs share one chunked error pass; cloud specs share one
+    nearest-neighbour query per hypothesis and need `source` and
+    `target_index`.
+    """
+    values = np.empty((len(specs), rotations.shape[0]))
+    seconds = np.empty(len(specs))
+    corr_rows = [k for k, s in enumerate(specs) if s.kind not in CLOUD_KINDS]
+    cloud_rows = [k for k, s in enumerate(specs) if s.kind in CLOUD_KINDS]
+    if corr_rows:
+        values[corr_rows], seconds[corr_rows] = _corr_values_batch(
+            [specs[k] for k in corr_rows], rotations, translations,
+            corrs.sources, corrs.targets)
+    if cloud_rows:
+        if source is None or target_index is None:
+            raise MissingClouds(
+                f"{specs[cloud_rows[0]].kind} needs source cloud and target index")
+        points = np.asarray(getattr(source, "points", source), dtype=np.float64)
+        values[cloud_rows], seconds[cloud_rows] = _cloud_values_batch(
+            [specs[k] for k in cloud_rows], rotations, translations, points,
+            target_index)
+    return values, seconds
+
+
 def run_ransac(config: RansacConfig, corrs: CorrespondenceSet,
                source=None, target_index: NeighborIndex | None = None
                ) -> RegistrationResult:
@@ -125,48 +187,18 @@ def run_ransac(config: RansacConfig, corrs: CorrespondenceSet,
     metrics ignore them. Deterministic given (config, inputs).
     """
     t_start = time.perf_counter()
-    if corrs.n < SAMPLE_SIZE:
-        raise TooFewCorrespondences(
-            f"need >= {SAMPLE_SIZE} correspondences, got {corrs.n}")
-    spec = config.metric
-    cloud_metric = spec.kind in CLOUD_KINDS
-    source_pts = None
-    if cloud_metric:
-        if source is None or target_index is None:
-            raise MissingClouds(f"{spec.kind} needs source cloud and target index")
-        source_pts = getattr(source, "points", source)
-        source_pts = np.asarray(source_pts, dtype=np.float64)
-
-    rng = np.random.default_rng(config.seed)
-    min_area = _degeneracy_area(corrs)
-    triples = np.empty((config.iterations, SAMPLE_SIZE), dtype=np.intp)
-    for i in range(config.iterations):
-        triples[i] = sample_minimal(corrs, rng, min_triangle_area=min_area,
-                                    degeneracy_retries=config.degeneracy_retries)
-
-    rotations, translations = _estimate_rigid_batch(corrs.sources[triples],
-                                                    corrs.targets[triples])
-
-    t_eval = time.perf_counter()
-    if cloud_metric:
-        values = np.empty(config.iterations)
-        for i in range(config.iterations):
-            values[i] = _cloud_value(spec, rotations[i], translations[i],
-                                     source_pts, target_index)
-    else:
-        values = _corr_values_batch(spec, rotations, translations,
-                                    corrs.sources, corrs.targets)
-    eval_elapsed = time.perf_counter() - t_eval
+    rotations, translations = _sample_hypotheses(
+        corrs, config.seed, config.iterations, config.degeneracy_retries)
+    values, seconds = _score_hypotheses(rotations, translations,
+                                        (config.metric,), corrs, source,
+                                        target_index)
     # np.argmax takes the first maximum: earliest-iteration tie rule.
-    best_i = int(np.argmax(values))
-    best_value = float(values[best_i])
-
-    best_transform = RigidTransform(rotations[best_i], translations[best_i])
+    best_i = int(np.argmax(values[0]))
     return RegistrationResult(
-        best_transform=best_transform,
-        best_score=HypothesisScore(best_value, spec.kind),
+        best_transform=RigidTransform(rotations[best_i], translations[best_i]),
+        best_score=HypothesisScore(values[0, best_i], config.metric.kind),
         best_iteration=best_i,
         hypotheses_evaluated=config.iterations,
-        elapsed_eval_time=eval_elapsed,
+        elapsed_eval_time=float(seconds[0]),
         elapsed_total_time=time.perf_counter() - t_start,
     )

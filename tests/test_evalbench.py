@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,16 +21,23 @@ from ransacreg import (
     MetricSpec,
     MissingClouds,
     PointCloud,
+    RansacConfig,
     RigidTransform,
     SWEEP_AXES,
     SceneConfig,
     build_index,
     is_correct,
+    generate_correspondences,
+    generate_scene,
     rmse,
     run_experiment,
+    run_ransac,
     time_metric_evaluation,
 )
-from ransacreg.evalbench import _derive_seed
+from ransacreg.evalbench import (_DATA_AXES, _ROLE_CORR, _ROLE_NUISANCE,
+                                 _ROLE_RANSAC, _ROLE_SCENE, _degrade_scene,
+                                 _derive_seed)
+from ransacreg.ransac import _sample_hypotheses, _score_hypotheses
 
 from conftest import random_rigid
 
@@ -279,6 +287,110 @@ def test_run_experiment_holes_axis():
     rows = run_experiment(cfg, SCENE, CORRS)
     assert len(rows) == 2
     assert rows[0].accuracy == 1.0  # zero holes with exact inliers
+
+
+# --------------------------------- one shared stream vs one run per cell
+
+
+def reference_rows(cfg: EvalConfig, scene_cfg: SceneConfig,
+                   corr_cfg: CorrespondenceConfig):
+    """Non-timing row fields from one public run_ransac call per
+    (metric, sweep value, trial), seeded the way the harness documents."""
+    axis = cfg.sweep_axis
+    rows = []
+    for plan in cfg.metrics:
+        for value in cfg.sweep_values:
+            n_ok, rmse_pr_sum = 0, 0.0
+            for trial in range(cfg.trials):
+                def seed(role):
+                    return _derive_seed(cfg.base_seed, trial, role)
+                clean = generate_scene(replace(scene_cfg, seed=seed(_ROLE_SCENE)))
+                scene = clean
+                if axis in _DATA_AXES:
+                    scene = _degrade_scene(clean, axis, value,
+                                           cfg.hole_fraction,
+                                           seed(_ROLE_NUISANCE))
+                ratio = value if axis == "inlier_ratio" else corr_cfg.inlier_ratio
+                corrs, _ = generate_correspondences(
+                    scene, replace(corr_cfg, inlier_ratio=ratio,
+                                   seed=seed(_ROLE_CORR)))
+                pr = scene.target.resolution
+                spec = plan.bind(pr, t_pr=value if axis == "t" else None)
+                iterations = (int(round(value)) if axis == "iterations"
+                              else cfg.iterations)
+                result = run_ransac(
+                    RansacConfig(metric=spec, seed=seed(_ROLE_RANSAC),
+                                 iterations=iterations),
+                    corrs, source=scene.source,
+                    target_index=build_index(scene.target))
+                rm = rmse(result.best_transform, clean.gt_pairs)
+                d_rmse_pr = value if axis == "d_rmse" else cfg.d_rmse_pr
+                if is_correct(rm, d_rmse_pr, pr):
+                    n_ok += 1
+                    rmse_pr_sum += rm / pr
+            rows.append((plan.kind.value, axis, value, cfg.trials,
+                         n_ok / cfg.trials,
+                         rmse_pr_sum / n_ok if n_ok else math.nan))
+    return rows
+
+
+AXIS_VALUES = {
+    "t": (4.0, 7.5, 12.0),
+    "iterations": (5.0, 17.0, 40.0),
+    "d_rmse": (0.5, 2.5, 10.0),
+    "inlier_ratio": (0.2, 0.5),
+    "noise": (0.0, 1.0),
+    "decimation-uniform": (0.5, 1.0),
+    "decimation-random": (0.5, 1.0),
+    "holes": (0.0, 5.0),
+}
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_shared_stream_rows_equal_one_run_per_cell(axis):
+    """Scoring one stream per trial under every metric and sweep value
+    gives the rows that separate run_ransac calls give, bit for bit."""
+    kinds = ("mae", "inlier-count", "quantile", "pc-dist", "overlap-count")
+    cfg = EvalConfig(metrics=tuple(MetricPlan(kind=k) for k in kinds),
+                     sweep_axis=axis, sweep_values=AXIS_VALUES[axis],
+                     trials=2, iterations=40, base_seed=53)
+    corr = CorrespondenceConfig(n_correspondences=60, inlier_ratio=0.3,
+                                inlier_sigma_pr=1.0)
+    got = [non_timing_fields(r) for r in run_experiment(cfg, SCENE, corr)]
+    np.testing.assert_equal(got, reference_rows(cfg, SCENE, corr))
+
+
+def test_stream_prefix_argmax_equals_shorter_run():
+    """The argmax over the first k hypotheses of a 1000-hypothesis stream
+    is what run_ransac(iterations=k) returns, in iteration, score and
+    pose bits."""
+    scene = generate_scene(replace(SCENE, seed=61))
+    corrs, _ = generate_correspondences(scene, CorrespondenceConfig(
+        n_correspondences=200, inlier_ratio=0.1, inlier_sigma_pr=1.0, seed=62))
+    spec = MetricPlan(kind="mae").bind(scene.target.resolution)
+    rotations, translations = _sample_hypotheses(corrs, 63, 1000)
+    values, _ = _score_hypotheses(rotations, translations, (spec,), corrs)
+    winners = set()
+    for k in (1, 2, 10, 99, 250, 777, 1000):
+        best = int(np.argmax(values[0, :k]))
+        winners.add(best)
+        result = run_ransac(RansacConfig(metric=spec, seed=63, iterations=k),
+                            corrs)
+        assert result.best_iteration == best, k
+        assert result.best_score.value == values[0, best], k
+        np.testing.assert_array_equal(result.best_transform.rotation,
+                                      rotations[best])
+        np.testing.assert_array_equal(result.best_transform.translation,
+                                      translations[best])
+    assert len(winners) > 2  # the prefixes really pick different winners
+
+
+def test_run_experiment_rejects_iterations_below_one():
+    cfg = EvalConfig(metrics=(MetricPlan(kind="mae"),),
+                     sweep_axis="iterations", sweep_values=(0.4, 10.0),
+                     trials=1)
+    with pytest.raises(BadConfig):
+        run_experiment(cfg, SCENE, CORRS)
 
 
 # ------------------------------------------------- metric behavior at scale

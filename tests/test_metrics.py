@@ -29,6 +29,7 @@ from ransacreg import (
     transformation_error,
     transformation_errors,
 )
+from ransacreg import metrics as metrics_module
 from ransacreg.metrics import _corr_value, _corr_values_batch
 
 from conftest import random_rigid, random_rotation
@@ -479,19 +480,23 @@ def test_hypothesis_score_requires_finite_value():
     assert score.kind is MetricKind.MAE and score.value == 1.5
 
 
-def test_batch_scoring_equals_sequential_bitwise():
+def test_batch_scoring_equals_sequential_bitwise(monkeypatch):
     """The RANSAC fast path must reproduce per-hypothesis scoring bit for
-    bit, for every correspondence kind."""
+    bit, for every correspondence kind scored together from one shared
+    error pass, across chunk boundaries."""
+    monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", 700)  # 10 rows
     rng = np.random.default_rng(45)
     corrs = random_corrs(rng, n=70, spread=20.0)
     h = 64
     rotations = np.stack([random_rotation(rng) for _ in range(h)])
     translations = rng.standard_normal((h, 3)) * 10
-    for kind in CORRESPONDENCE_KINDS:
-        spec = spec_for(kind)
-        batch = _corr_values_batch(spec, rotations, translations,
-                                   corrs.sources, corrs.targets)
+    specs = [spec_for(kind) for kind in sorted(CORRESPONDENCE_KINDS)]
+    batch, seconds = _corr_values_batch(specs, rotations, translations,
+                                        corrs.sources, corrs.targets)
+    assert batch.shape == (len(specs), h)
+    assert seconds.shape == (len(specs),) and np.all(seconds >= 0.0)
+    for k, spec in enumerate(specs):
         for i in range(h):
             scalar = _corr_value(spec, rotations[i], translations[i],
                                  corrs.sources, corrs.targets)
-            assert batch[i] == scalar, (kind, i)
+            assert batch[k, i] == scalar, (spec.kind, i)

@@ -45,6 +45,8 @@ def make_corrs(rng, n=120, outlier_ratio=0.5, spread=50.0):
 
 def test_config_validation():
     with pytest.raises(BadConfig):
+        RansacConfig(metric=MAE, seed=-1)
+    with pytest.raises(BadConfig):
         RansacConfig(metric=MAE, seed=0, iterations=0)
     with pytest.raises(BadConfig):
         RansacConfig(metric=MAE, seed=0, sample_size=4)
