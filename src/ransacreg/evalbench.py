@@ -154,8 +154,10 @@ class ExperimentRow:
     accuracy = correct trials / trials. mean_rmse_pr averages RMSE (in
     resolution units) over the CORRECT trials only (NaN when none).
     mean_eval_time_s is the average scoring wall time per registered pair:
-    the trial's shared error (or nearest-neighbour) pass over the stream
-    plus this cell's own reduction, prorated to the cell's share of the
+    the trial's shared error (or nearest-neighbour) pass over the stream,
+    including the extraction of sub-threshold candidate errors that the
+    zero-outlier kinds reduce, plus this cell's own reduction (for those
+    kinds, only over its own inliers), prorated to the cell's share of the
     stream on the iterations axis. It is not the cost of a separate RANSAC
     run, since sampling and solving are shared and excluded.
     index_build_time_s is the average target-index build time per pair (0

@@ -216,33 +216,24 @@ def estimate_rigid_transform(source, target, *,
             min_triangle_area = _degeneracy_threshold(src)
         if triangle_area(src[0], src[1], src[2]) <= min_triangle_area:
             raise DegenerateSample("source triangle is collinear or coincident")
-        # Route minimal samples through the batch kernel so one sample
-        # solved alone matches the same sample solved inside a batch.
-        r, t = _estimate_rigid_batch(src[np.newaxis], tgt[np.newaxis])
-        return RigidTransform(r[0], t[0])
-
-    sv = np.linalg.svd(src - src.mean(axis=0), compute_uv=False)
-    if sv[1] <= 1e-9 * max(sv[0], np.finfo(np.float64).tiny):
-        raise DegenerateSample("source points are collinear")
-    c_src = src.mean(axis=0)
-    c_tgt = tgt.mean(axis=0)
-    h = (src - c_src).T @ (tgt - c_tgt)
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0.0:
-        d = 1.0
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    t = c_tgt - r @ c_src
-    return RigidTransform(r, t)
+    else:
+        sv = np.linalg.svd(src - src.mean(axis=0), compute_uv=False)
+        if sv[1] <= 1e-9 * max(sv[0], np.finfo(np.float64).tiny):
+            raise DegenerateSample("source points are collinear")
+    # Every solve runs through the batch kernel, so a minimal sample solved
+    # alone matches the same sample solved inside a RANSAC batch.
+    r, t = _estimate_rigid_batch(src[np.newaxis], tgt[np.newaxis])
+    return RigidTransform(r[0], t[0])
 
 
 def _estimate_rigid_batch(source: np.ndarray, target: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized least-squares rigid solve for a batch of 3-point samples.
+    """Vectorized least-squares rigid solve for a batch of samples.
 
-    source, target: (H, 3, 3) stacks of pre-screened non-degenerate samples.
-    Returns (rotations (H, 3, 3), translations (H, 3)). Same construction as
-    :func:`estimate_rigid_transform`, batched through LAPACK.
+    source, target: (H, N, 3) stacks of pre-screened non-degenerate samples
+    of N >= 3 pairs. Returns (rotations (H, 3, 3), translations (H, 3)):
+    the SVD solve of :func:`estimate_rigid_transform`, batched through
+    LAPACK.
     """
     c_src = source.mean(axis=1, keepdims=True)
     c_tgt = target.mean(axis=1, keepdims=True)

@@ -252,40 +252,50 @@ def _log_cosh(x: np.ndarray) -> np.ndarray:
     return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
 
 
+def _log_cosh_inlier(spec: MetricSpec, e: np.ndarray) -> np.ndarray:
+    th = spec.t / spec.pr
+    return _log_cosh(e / spec.pr - th) / _log_cosh(np.asarray(th))
+
+
+def _quantile_inlier(spec: MetricSpec, e: np.ndarray) -> np.ndarray:
+    return spec.m * np.abs(e - spec.t) / spec.t
+
+
+# The one definition of every correspondence kind's per-element score:
+# kind -> (inlier formula, outlier formula), each mapping (spec, errors)
+# to scores elementwise. None marks the kinds whose outliers all score 0.
+_FORMULAS = {
+    MetricKind.INLIER_COUNT: (lambda spec, e: np.ones_like(e), None),
+    MetricKind.MAE: (lambda spec, e: np.abs(e - spec.t) / spec.t, None),
+    MetricKind.MSE: (lambda spec, e: (e - spec.t) ** 2 / spec.t ** 2, None),
+    MetricKind.LOG_COSH: (_log_cosh_inlier, None),
+    MetricKind.EXP: (lambda spec, e: np.exp(-(e ** 2) / (2.0 * spec.t ** 2)),
+                     None),
+    MetricKind.QUANTILE: (
+        _quantile_inlier,
+        lambda spec, e: (1.0 - spec.m) * np.abs(e - spec.t) / e),
+    MetricKind.NEG_QUANTILE: (
+        _quantile_inlier,
+        lambda spec, e: (spec.m - 1.0) * np.abs(e - spec.t) / e),
+    MetricKind.HUBER: (lambda spec, e: -(e ** 2) / 2.0,
+                       lambda spec, e: -spec.t * (e - spec.t / 2.0)),
+}
+_ZERO_OUTLIER_KINDS = frozenset(
+    kind for kind, (_, outlier) in _FORMULAS.items() if outlier is None)
+
+
 def _score_array(spec: MetricSpec, e: np.ndarray) -> np.ndarray:
     """Elementwise scores for a pre-validated error array of any shape."""
-    t = spec.t
-    inl = e < t
-    s = np.zeros_like(e)
-    kind = spec.kind
-
-    if kind is MetricKind.INLIER_COUNT:
-        s[inl] = 1.0
-    elif kind is MetricKind.MAE:
-        s[inl] = np.abs(e[inl] - t) / t
-    elif kind is MetricKind.MSE:
-        s[inl] = (e[inl] - t) ** 2 / t ** 2
-    elif kind is MetricKind.LOG_COSH:
-        eh = e[inl] / spec.pr
-        th = t / spec.pr
-        s[inl] = _log_cosh(eh - th) / _log_cosh(np.asarray(th))
-    elif kind is MetricKind.EXP:
-        s[inl] = np.exp(-(e[inl] ** 2) / (2.0 * t ** 2))
-    elif kind is MetricKind.QUANTILE:
-        out = ~inl
-        s[inl] = spec.m * np.abs(e[inl] - t) / t
-        s[out] = (1.0 - spec.m) * np.abs(e[out] - t) / e[out]
-    elif kind is MetricKind.NEG_QUANTILE:
-        out = ~inl
-        s[inl] = spec.m * np.abs(e[inl] - t) / t
-        s[out] = (spec.m - 1.0) * np.abs(e[out] - t) / e[out]
-    elif kind is MetricKind.HUBER:
-        out = ~inl
-        s[inl] = -(e[inl] ** 2) / 2.0
-        s[out] = -t * (e[out] - t / 2.0)
-    else:  # pragma: no cover - exhaustive over CORRESPONDENCE_KINDS
-        raise InvalidSpec(f"unhandled metric kind {kind}")
-    return s
+    inlier, outlier = _FORMULAS[spec.kind]
+    inl = e < spec.t
+    if outlier is None:
+        s = np.zeros_like(e)
+        s[inl] = inlier(spec, e[inl])
+        return s
+    # Both branches run on every error; the discarded one may overflow
+    # (huber's e**2) or divide 0 by 0 (the quantile outlier branch at e = 0).
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.where(inl, inlier(spec, e), outlier(spec, e))
 
 
 def score_errors(spec: MetricSpec, errors) -> np.ndarray:
@@ -333,9 +343,12 @@ def _corr_value(spec: MetricSpec, rotation: np.ndarray, translation: np.ndarray,
         spec, _pair_errors(rotation, translation, sources, targets))))
 
 
-# Cap on hypotheses x correspondences elements held live per batch chunk;
-# sized so chunk temporaries stay cache-resident.
-_BATCH_ELEMENTS = 131_072
+# Cap on hypotheses x correspondences elements held live per batch chunk.
+# At 512 KiB per float64 temporary the error kernel's few temporaries fit
+# a 2 MiB L2: on a 2-core Xeon with 2 MiB L2 per core, the error pass of a
+# 1000 x 1000 stream took ~20 ms against ~32 ms at twice this cap, and
+# scoring the candidates did not slow.
+_BATCH_ELEMENTS = 65_536
 
 
 def _score_pass(specs, h: int, blocks, reduce) -> tuple[np.ndarray, np.ndarray]:
@@ -368,20 +381,49 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     """Scores of many (R, t) hypotheses against one correspondence set,
     for several correspondence specs at once; see :func:`_score_pass`.
 
-    Each chunk of errors is computed once and reduced by every spec.
-    Element-for-element identical to calling :func:`_corr_value` per
-    hypothesis and spec: errors come from the batch-size-independent
-    :func:`_errors_batch` kernel and each row is reduced exactly like a
-    standalone 1-D sum.
+    The shared pass computes each chunk of errors once and extracts its
+    candidates, the errors below the largest t of the kinds whose outliers
+    score 0 (inlier-count, mae, mse, log-cosh, exp). Each such spec keeps
+    the candidates below its own t and evaluates its inlier formula only
+    there; inlier-count just counts them per row. The other kinds score the
+    dense chunk. Element-for-element identical to calling
+    :func:`_corr_value` per hypothesis and spec: errors come from the
+    batch-size-independent :func:`_errors_batch` kernel, and each row is
+    summed with every score at its own position and 0 elsewhere, exactly
+    like a standalone 1-D sum.
     """
     h = rotations.shape[0]
-    chunk = max(1, _BATCH_ELEMENTS // max(sources.shape[0], 1))
-    blocks = ((slice(lo, lo + chunk),
-               _errors_batch(rotations[lo:lo + chunk],
-                             translations[lo:lo + chunk], sources, targets))
-              for lo in range(0, h, chunk))
-    return _score_pass(specs, h, blocks,
-                       lambda spec, e: np.sum(_score_array(spec, e), axis=1))
+    n = sources.shape[0]
+    chunk = max(1, _BATCH_ELEMENTS // max(n, 1))
+    # Errors are non-negative, so t_max = 0 (no zero-outlier spec) leaves
+    # no candidates.
+    t_max = max((s.t for s in specs if s.kind in _ZERO_OUTLIER_KINDS),
+                default=0.0)
+    # One zeroed scatter buffer, reused by every spec and chunk; each
+    # reduction clears what it wrote.
+    sink = np.zeros(min(chunk, h) * n)
+
+    def blocks():
+        for lo in range(0, h, chunk):
+            e = _errors_batch(rotations[lo:lo + chunk],
+                              translations[lo:lo + chunk], sources, targets)
+            flat = np.flatnonzero(e < t_max)
+            yield slice(lo, lo + chunk), (e, flat, e.reshape(-1)[flat])
+
+    def reduce(spec, block):
+        e, flat, ce = block
+        if spec.kind not in _ZERO_OUTLIER_KINDS:
+            return np.sum(_score_array(spec, e), axis=1)
+        inl = ce < spec.t
+        idx = flat[inl]
+        if spec.kind is MetricKind.INLIER_COUNT:
+            return np.bincount(idx // n, minlength=e.shape[0])
+        sink[idx] = _FORMULAS[spec.kind][0](spec, ce[inl])
+        total = np.sum(sink[:e.size].reshape(e.shape), axis=1)
+        sink[idx] = 0.0
+        return total
+
+    return _score_pass(specs, h, blocks(), reduce)
 
 
 def _cloud_distances(rotation: np.ndarray, translation: np.ndarray,
@@ -389,6 +431,14 @@ def _cloud_distances(rotation: np.ndarray, translation: np.ndarray,
                      ) -> np.ndarray:
     """Nearest-target distance of every source point moved by (R, t)."""
     return target_index.nearest_distances(points @ rotation.T + translation)
+
+
+def _cloud_points(source) -> np.ndarray:
+    """The (N, 3) points of a PointCloud or array; raises EmptyCloud if N = 0."""
+    pts = np.asarray(getattr(source, "points", source), dtype=np.float64)
+    if pts.size == 0:
+        raise EmptyCloud("source cloud is empty")
+    return pts
 
 
 def _cloud_score(spec: MetricSpec, dists: np.ndarray) -> float:
@@ -428,11 +478,6 @@ def evaluate_hypothesis_cloud(spec: MetricSpec, transform: RigidTransform,
     transformed source points strictly within t_overlap of the target.
     """
     _require_kind(spec, cloud=True)
-    pts = getattr(source, "points", None)
-    if pts is None:
-        pts = np.asarray(source, dtype=np.float64)
-    if pts.size == 0:
-        raise EmptyCloud("source cloud is empty")
-    dists = _cloud_distances(transform.rotation, transform.translation, pts,
-                             target_index)
+    dists = _cloud_distances(transform.rotation, transform.translation,
+                             _cloud_points(source), target_index)
     return HypothesisScore(_cloud_score(spec, dists), spec.kind)

@@ -32,7 +32,8 @@ from .errors import (BadConfig, MissingClouds, PersistentDegeneracy,
 from .geom import (DEGENERACY_AREA_FACTOR, RigidTransform, _estimate_rigid_batch,
                    cloud_resolution, triangle_area)
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, HypothesisScore,
-                      MetricSpec, _cloud_values_batch, _corr_values_batch)
+                      MetricSpec, _cloud_points, _cloud_values_batch,
+                      _corr_values_batch)
 from .spatial import NeighborIndex
 
 __all__ = [
@@ -154,23 +155,28 @@ def _score_hypotheses(rotations: np.ndarray, translations: np.ndarray, specs,
     Returns (values, seconds): values[k, i] is specs[k]'s score of
     hypothesis i, and seconds[k] the time of the shared error (or
     nearest-neighbour) pass plus spec k's own reductions. Correspondence
-    specs share one chunked error pass; cloud specs share one
+    specs share one chunked error pass, which also extracts the errors
+    below the largest threshold of the kinds whose outliers score 0, so
+    those specs touch only their own inliers; see
+    :func:`~ransacreg.metrics._corr_values_batch`. Cloud specs share one
     nearest-neighbour query per hypothesis and need `source` and
-    `target_index`.
+    `target_index`; MissingClouds or EmptyCloud is raised before any
+    scoring when they are absent or the source is empty.
     """
     values = np.empty((len(specs), rotations.shape[0]))
     seconds = np.empty(len(specs))
     corr_rows = [k for k, s in enumerate(specs) if s.kind not in CLOUD_KINDS]
     cloud_rows = [k for k, s in enumerate(specs) if s.kind in CLOUD_KINDS]
+    if cloud_rows:
+        if source is None or target_index is None:
+            raise MissingClouds(
+                f"{specs[cloud_rows[0]].kind} needs source cloud and target index")
+        points = _cloud_points(source)
     if corr_rows:
         values[corr_rows], seconds[corr_rows] = _corr_values_batch(
             [specs[k] for k in corr_rows], rotations, translations,
             corrs.sources, corrs.targets)
     if cloud_rows:
-        if source is None or target_index is None:
-            raise MissingClouds(
-                f"{specs[cloud_rows[0]].kind} needs source cloud and target index")
-        points = np.asarray(getattr(source, "points", source), dtype=np.float64)
         values[cloud_rows], seconds[cloud_rows] = _cloud_values_batch(
             [specs[k] for k in cloud_rows], rotations, translations, points,
             target_index)

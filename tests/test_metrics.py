@@ -500,3 +500,82 @@ def test_batch_scoring_equals_sequential_bitwise(monkeypatch):
             scalar = _corr_value(spec, rotations[i], translations[i],
                                  corrs.sources, corrs.targets)
             assert batch[k, i] == scalar, (spec.kind, i)
+
+
+def _masked_scatter_scores(spec, e):
+    """Frozen copy of the masked-scatter scorer that every kind used before
+    zero-outlier kinds were reduced from sub-threshold candidates only: the
+    bitwise reference for both scoring paths."""
+    t = spec.t
+    inl = e < t
+    s = np.zeros_like(e)
+    kind = spec.kind
+    if kind is MetricKind.INLIER_COUNT:
+        s[inl] = 1.0
+    elif kind is MetricKind.MAE:
+        s[inl] = np.abs(e[inl] - t) / t
+    elif kind is MetricKind.MSE:
+        s[inl] = (e[inl] - t) ** 2 / t ** 2
+    elif kind is MetricKind.LOG_COSH:
+        eh = e[inl] / spec.pr
+        th = t / spec.pr
+        s[inl] = (metrics_module._log_cosh(eh - th)
+                  / metrics_module._log_cosh(np.asarray(th)))
+    elif kind is MetricKind.EXP:
+        s[inl] = np.exp(-(e[inl] ** 2) / (2.0 * t ** 2))
+    elif kind is MetricKind.QUANTILE:
+        out = ~inl
+        s[inl] = spec.m * np.abs(e[inl] - t) / t
+        s[out] = (1.0 - spec.m) * np.abs(e[out] - t) / e[out]
+    elif kind is MetricKind.NEG_QUANTILE:
+        out = ~inl
+        s[inl] = spec.m * np.abs(e[inl] - t) / t
+        s[out] = (spec.m - 1.0) * np.abs(e[out] - t) / e[out]
+    elif kind is MetricKind.HUBER:
+        out = ~inl
+        s[inl] = -(e[inl] ** 2) / 2.0
+        s[out] = -t * (e[out] - t / 2.0)
+    return s
+
+
+def test_scoring_matches_masked_scatter_reference_bitwise(monkeypatch):
+    """Every kind at three thresholds, scored in one pass, so the shared
+    candidate cut (the largest t) differs from most specs' own t; errors
+    include 0, each t, its neighbouring floats and 1e300; chunks of 5
+    rows with a partial last chunk."""
+    ts = (0.75, 2.5, 7.5)
+    specs = [spec_for(kind, t=t, m=0.7, pr=0.6)
+             for kind in sorted(CORRESPONDENCE_KINDS) for t in ts]
+    specials = [0.0, 1e300] + [v for t in ts for v in (
+        t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf))]
+    rng = np.random.default_rng(46)
+    h, n = 23, 40
+    errors = rng.uniform(0.0, 10.0, size=(h, n))
+    where = rng.permutation(h * n)[:3 * len(specials)]
+    errors.flat[where] = np.tile(specials, 3)
+    errors[0] = 1e300  # every spec's outlier branch only
+    errors[1] = 0.0    # every spec's inlier branch only
+
+    # Hypothesis i is the error row i, addressed by its x translation.
+    monkeypatch.setattr(metrics_module, "_errors_batch",
+                        lambda rot, trans, src, tgt:
+                        errors[trans[:, 0].astype(np.intp)])
+    monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", 5 * n)
+    translations = np.zeros((h, 3))
+    translations[:, 0] = np.arange(h)
+    batch, seconds = _corr_values_batch(
+        specs, np.broadcast_to(np.eye(3), (h, 3, 3)), translations,
+        np.zeros((n, 3)), np.zeros((n, 3)))
+    assert seconds.shape == (len(specs),) and np.all(seconds >= 0.0)
+
+    for k, spec in enumerate(specs):
+        reference = np.array([np.sum(_masked_scatter_scores(spec, row))
+                              for row in errors])
+        np.testing.assert_array_equal(batch[k].view(np.uint64),
+                                      reference.view(np.uint64),
+                                      err_msg=f"{spec.kind} t={spec.t}")
+        for row in errors:
+            np.testing.assert_array_equal(
+                score_errors(spec, row).view(np.uint64),
+                _masked_scatter_scores(spec, row).view(np.uint64),
+                err_msg=f"{spec.kind} t={spec.t}")

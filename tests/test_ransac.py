@@ -8,6 +8,7 @@ import pytest
 from ransacreg import (
     BadConfig,
     CorrespondenceSet,
+    EmptyCloud,
     MetricKind,
     MetricSpec,
     MissingClouds,
@@ -266,3 +267,10 @@ def test_run_ransac_cloud_metric_requires_clouds():
         run_ransac(cfg, corrs)
     with pytest.raises(MissingClouds):
         run_ransac(cfg, corrs, source=PointCloud(corrs.sources))
+    index = build_index(corrs.targets)
+    for kind in (MetricKind.PC_DIST, MetricKind.OVERLAP_COUNT):
+        cfg = RansacConfig(metric=MetricSpec(kind=kind, t=7.5, pr=1.0),
+                           seed=0, iterations=5)
+        for empty in (PointCloud(np.empty((0, 3))), np.empty((0, 3))):
+            with pytest.raises(EmptyCloud):
+                run_ransac(cfg, corrs, source=empty, target_index=index)
