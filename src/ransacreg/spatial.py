@@ -6,6 +6,11 @@ points would return, with distance ties broken by the lowest point index.
 The tree is only used to find candidates; final distances are recomputed
 with plain numpy so results are bit-identical to a scan, which keeps every
 downstream quantity (cloud resolution, overlap counts) reproducible.
+
+The batch queries (:meth:`NeighborIndex.nearest_distances` and
+:meth:`NeighborIndex.nearest_other_distances`) run on every CPU core.
+The tree traverses each query row on its own, so their results do not
+depend on the thread count. Single-point queries stay serial.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyCloud, KTooLarge
+from .errors import EmptyCloud, InvalidInput, KTooLarge
 
 __all__ = ["NeighborIndex", "build_index"]
 
@@ -31,6 +36,13 @@ def _as_points(cloud) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) point array, got shape {pts.shape}")
     return pts
+
+
+def _query_point(q) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64).reshape(3)
+    if not np.all(np.isfinite(q)):
+        raise InvalidInput(f"query point must be finite, got {q}")
+    return q
 
 
 def _scan_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -55,7 +67,7 @@ class NeighborIndex:
 
         Ties are broken by the lowest point index.
         """
-        q = np.asarray(q, dtype=np.float64).reshape(3)
+        q = _query_point(q)
         d0, _ = self._tree.query(q)
         r = d0 * (1.0 + _RADIUS_SLACK)
         candidates = self._tree.query_ball_point(q, r)
@@ -72,7 +84,7 @@ class NeighborIndex:
         """
         if not 1 <= k <= self.point_count:
             raise KTooLarge(f"k={k} not in [1, {self.point_count}]")
-        q = np.asarray(q, dtype=np.float64).reshape(3)
+        q = _query_point(q)
         kth = self._tree.query(q, k=k)[0]
         kth = float(np.atleast_1d(kth)[-1])
         r = kth * (1.0 + _RADIUS_SLACK)
@@ -85,21 +97,25 @@ class NeighborIndex:
         """Distance from each query row to its closest indexed point.
 
         Batch companion to :meth:`nearest` for whole-cloud metrics; only the
-        distances are returned, so tie resolution is irrelevant here.
+        distances are returned, so tie resolution is irrelevant here. The
+        rows are split across every CPU core; each distance is the same for
+        any thread count.
         """
         queries = np.asarray(queries, dtype=np.float64)
-        d, _ = self._tree.query(queries, workers=1)
+        d, _ = self._tree.query(queries, workers=-1)
         return np.asarray(d, dtype=np.float64)
 
     def nearest_other_distances(self) -> np.ndarray:
         """For each indexed point, distance to its nearest *other* point.
 
         Distances are recomputed in numpy against the neighbor the tree
-        reports, so they match a brute-force scan. Needs >= 2 points.
+        reports, so they match a brute-force scan. Needs >= 2 points. Like
+        :meth:`nearest_distances`, the query uses every CPU core and its
+        result does not depend on the thread count.
         """
         if self.point_count < 2:
             raise EmptyCloud("need at least 2 points for neighbor distances")
-        _, idx = self._tree.query(self.points, k=2, workers=1)
+        _, idx = self._tree.query(self.points, k=2, workers=-1)
         other = idx[:, 1]
         d = self.points - self.points[other]
         return np.sqrt(np.einsum("ij,ij->i", d, d))
@@ -110,11 +126,14 @@ def build_index(cloud) -> NeighborIndex:
 
     Accepts a PointCloud or a raw (N, 3) array; the points are copied so
     later mutation of the source cannot corrupt the index. Raises
-    :class:`EmptyCloud` for an empty input.
+    :class:`EmptyCloud` for an empty input, :class:`InvalidInput` for
+    non-finite coordinates and ValueError for a wrong shape.
     """
     pts = _as_points(cloud)
     if pts.shape[0] == 0:
         raise EmptyCloud("cannot index an empty cloud")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInput("point coordinates must be finite")
     pts = np.array(pts, dtype=np.float64, copy=True)
     pts.setflags(write=False)
     return NeighborIndex(points=pts, _tree=cKDTree(pts))

@@ -14,6 +14,7 @@ from ransacreg import (
     CorrespondenceSet,
     EmptyCloud,
     HypothesisScore,
+    InvalidInput,
     InvalidSpec,
     MetricKind,
     MetricSpec,
@@ -30,7 +31,8 @@ from ransacreg import (
     transformation_errors,
 )
 from ransacreg import metrics as metrics_module
-from ransacreg.metrics import _corr_value, _corr_values_batch
+from ransacreg.metrics import (_cloud_values_batch, _corr_value,
+                               _corr_values_batch)
 
 from conftest import random_rigid, random_rotation
 
@@ -448,9 +450,25 @@ def test_cloud_metric_guards():
     with pytest.raises(InvalidSpec):
         evaluate_hypothesis(spec_for(MetricKind.PC_DIST), ident,
                             random_corrs(rng, n=4))
+    pcd = spec_for(MetricKind.PC_DIST)
     with pytest.raises(EmptyCloud):
-        evaluate_hypothesis_cloud(spec_for(MetricKind.PC_DIST), ident,
-                                  np.empty((0, 3)), index)
+        evaluate_hypothesis_cloud(pcd, ident, np.empty((0, 3)), index)
+    # Every malformed source is InvalidInput, before numpy or scipy sees it.
+    nan_row = cloud.points.copy()
+    nan_row[3, 1] = np.nan
+    for bad in (np.zeros((5, 2)), np.zeros((2, 3, 3)), np.zeros(4), nan_row,
+                np.array([0.0, np.inf, 0.0]), [["a", "b", "c"]]):
+        for kind in CLOUD_KINDS:
+            with pytest.raises(InvalidInput):
+                evaluate_hypothesis_cloud(spec_for(kind), ident, bad, index)
+    # A (3,) source is one point, as in PointCloud.
+    point = cloud.points[4]
+    for kind in CLOUD_KINDS:
+        spec = spec_for(kind)
+        one = evaluate_hypothesis_cloud(spec, ident, point, index).value
+        assert one == evaluate_hypothesis_cloud(
+            spec, ident, PointCloud(point), index).value
+    assert evaluate_hypothesis_cloud(pcd, ident, point, index).value == 0.0
 
 
 # ----------------------------------------------------------- total plumbing
@@ -579,3 +597,42 @@ def test_scoring_matches_masked_scatter_reference_bitwise(monkeypatch):
                 score_errors(spec, row).view(np.uint64),
                 _masked_scatter_scores(spec, row).view(np.uint64),
                 err_msg=f"{spec.kind} t={spec.t}")
+
+
+def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
+    """The chunked, threaded cloud pass against a frozen copy of the old
+    path: one serial k-d tree query per hypothesis, reduced per row."""
+    x, y, z = np.mgrid[0:6, 0:6, 0:6]
+    lattice = 2.0 * np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    tgt = np.vstack([lattice, lattice[:20]])  # duplicated target points
+    index = build_index(tgt)
+    rng = np.random.default_rng(46)
+    src = lattice + rng.uniform(-0.9, 0.9, size=lattice.shape)
+    src[0] = lattice[0] + np.array([0.5, 0.0, 0.0])  # exactly at t_overlap
+    transforms = [RigidTransform.identity()] + [
+        random_rigid(rng, t_scale=0.5) for _ in range(6)]  # odd length
+    rotations = np.array([tr.rotation for tr in transforms])
+    translations = np.array([tr.translation for tr in transforms])
+    specs = (spec_for(MetricKind.PC_DIST),
+             spec_for(MetricKind.OVERLAP_COUNT, t_overlap=0.5),
+             spec_for(MetricKind.OVERLAP_COUNT, t_overlap=1.25))
+
+    def reference(rotation, translation):
+        d, _ = index._tree.query(src @ rotation.T + translation, workers=1)
+        return [-float(np.mean(d)), float(np.count_nonzero(d < 0.5)),
+                float(np.count_nonzero(d < 1.25))]
+
+    want = np.array([reference(r, t) for r, t in zip(rotations, translations)]).T
+    # The identity hypothesis scores the threshold point as an outlier.
+    d0, _ = index._tree.query(src[0])
+    assert d0 == 0.5
+    n = src.shape[0]
+    for rows in (1, 2):  # 7 hypotheses: chunks of 1, or 2 with a partial last
+        monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", rows * 3 * n)
+        got, _ = _cloud_values_batch(specs, rotations, translations, src, index)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for k, spec in enumerate(specs):
+        for i, tr in enumerate(transforms):
+            one = evaluate_hypothesis_cloud(spec, tr, src, index).value
+            assert np.float64(one).view(np.uint64) == got[k, i:i + 1].view(
+                np.uint64)[0]

@@ -9,6 +9,7 @@ from ransacreg import (
     BadConfig,
     CorrespondenceSet,
     EmptyCloud,
+    InvalidInput,
     MetricKind,
     MetricSpec,
     MissingClouds,
@@ -274,3 +275,8 @@ def test_run_ransac_cloud_metric_requires_clouds():
         for empty in (PointCloud(np.empty((0, 3))), np.empty((0, 3))):
             with pytest.raises(EmptyCloud):
                 run_ransac(cfg, corrs, source=empty, target_index=index)
+        nan_source = corrs.sources.copy()
+        nan_source[2, 0] = np.nan
+        for bad in (np.zeros((5, 2)), nan_source):
+            with pytest.raises(InvalidInput):
+                run_ransac(cfg, corrs, source=bad, target_index=index)

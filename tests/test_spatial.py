@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ransacreg import EmptyCloud, KTooLarge, build_index
+from ransacreg import EmptyCloud, InvalidInput, KTooLarge, build_index
 
 from conftest import scan_knn, scan_nearest
 
@@ -113,3 +113,31 @@ def test_build_index_validates_and_copies():
 
 def test_point_count():
     assert build_index(np.zeros((7, 3)) + np.arange(7)[:, None]).point_count == 7
+
+
+def test_non_finite_points_are_invalid_input():
+    pts = np.arange(12, dtype=np.float64).reshape(4, 3)
+    index = build_index(pts)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = pts.copy()
+        broken[2, 1] = bad
+        with pytest.raises(InvalidInput):
+            build_index(broken)
+        with pytest.raises(InvalidInput):
+            index.nearest([0.0, bad, 0.0])
+        with pytest.raises(InvalidInput):
+            index.knn([bad, 0.0, 0.0], 2)
+
+
+def test_batch_queries_do_not_depend_on_thread_count():
+    rng = np.random.default_rng(25)
+    pts = np.vstack([rng.normal(size=(400, 3)) * 4, np.zeros((3, 3))])
+    index = build_index(pts)
+    queries = np.vstack([rng.normal(size=(500, 3)) * 4, pts[:50]])
+    serial, _ = index._tree.query(queries, workers=1)
+    got = index.nearest_distances(queries)
+    np.testing.assert_array_equal(got.view(np.uint64), serial.view(np.uint64))
+    _, idx = index._tree.query(pts, k=2, workers=1)
+    d = pts - pts[idx[:, 1]]
+    serial_other = np.sqrt(np.einsum("ij,ij->i", d, d))
+    np.testing.assert_array_equal(index.nearest_other_distances(), serial_other)
