@@ -154,12 +154,15 @@ class ExperimentRow:
     accuracy = correct trials / trials. mean_rmse_pr averages RMSE (in
     resolution units) over the CORRECT trials only (NaN when none).
     mean_eval_time_s is the average scoring wall time per registered pair:
-    the trial's shared error (or nearest-neighbour) pass over the stream,
-    including the extraction of sub-threshold candidate errors that the
-    zero-outlier kinds reduce, plus this cell's own reduction (for those
-    kinds, only over its own inliers), prorated to the cell's share of the
-    stream on the iterations axis. It is not the cost of a separate RANSAC
-    run, since sampling and solving are shared and excluded.
+    the time the trial's shared error (or nearest-neighbour) pass over the
+    stream held up the scoring thread, including the extraction of
+    sub-threshold candidate errors that the zero-outlier kinds reduce,
+    plus this cell's own reduction (for those kinds, only over its own
+    inliers), prorated to the cell's share of the stream on the iterations
+    axis. The error kernel runs on a helper thread, one chunk ahead of the
+    reductions, so only the part of it that the reductions did not overlap
+    is counted. It is not the cost of a separate RANSAC run, since
+    sampling and solving are shared and excluded.
     index_build_time_s is the average target-index build time per pair (0
     for correspondence metrics).
     """

@@ -15,6 +15,8 @@ an outlier.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -198,29 +200,38 @@ def _require_kind(spec: MetricSpec, *, cloud: bool) -> None:
 
 
 def _errors_batch(rotations: np.ndarray, translations: np.ndarray,
-                  sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+                  sources: np.ndarray, targets: np.ndarray, *,
+                  out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                  ) -> np.ndarray:
     """Errors ||R p_s + t - p_t|| for a batch of transforms, shape (h, n).
 
     Built purely from elementwise ufuncs (no einsum or BLAS), so every
     entry is computed by the same scalar expression tree regardless of
     batch size: row i of an h-batch is bit-identical to the h=1 result.
+    `out` = (errors, scratch, scratch), three (h, n) float64 arrays, takes
+    the result and the temporaries, so the kernel allocates nothing and
+    returns `out[0]`; the shared pass of :func:`_corr_values_batch` runs
+    it that way on its helper thread. Without `out` (single transforms,
+    RMSE grading, replay) the result and one (2, h, n) scratch block are
+    allocated, so the returned array does not hold the scratch alive.
+    Either way each element goes through the same ufunc sequence.
     """
-    s0 = sources[:, 0]
-    s1 = sources[:, 1]
-    s2 = sources[:, 2]
-
-    def axis_sq(k: int) -> np.ndarray:
-        moved_k = (s0 * rotations[:, k, 0, np.newaxis]
-                   + s1 * rotations[:, k, 1, np.newaxis]
-                   + s2 * rotations[:, k, 2, np.newaxis])
-        moved_k += translations[:, k, np.newaxis]
-        moved_k -= targets[:, k]
-        moved_k *= moved_k
-        return moved_k
-
-    e2 = axis_sq(0)
-    e2 += axis_sq(1)
-    e2 += axis_sq(2)
+    if out is None:
+        h, n = rotations.shape[0], sources.shape[0]
+        out = (np.empty((h, n)), *np.empty((2, h, n)))
+    e2, moved, term = out
+    for k in range(3):
+        acc = e2 if k == 0 else moved
+        np.multiply(sources[:, 0], rotations[:, k, 0, np.newaxis], out=acc)
+        np.multiply(sources[:, 1], rotations[:, k, 1, np.newaxis], out=term)
+        acc += term
+        np.multiply(sources[:, 2], rotations[:, k, 2, np.newaxis], out=term)
+        acc += term
+        acc += translations[:, k, np.newaxis]
+        acc -= targets[:, k]
+        acc *= acc
+        if k:
+            e2 += acc
     return np.sqrt(e2, out=e2)
 
 
@@ -343,9 +354,12 @@ def _corr_value(spec: MetricSpec, rotation: np.ndarray, translation: np.ndarray,
         spec, _pair_errors(rotation, translation, sources, targets))))
 
 
-# Cap on hypotheses x correspondences elements held live per batch chunk.
-# At 512 KiB per float64 temporary the error kernel's few temporaries fit
-# a 2 MiB L2: on a 2-core Xeon with 2 MiB L2 per core, the error pass of a
+# Cap on hypotheses x correspondences elements per batch chunk.
+# The correspondence pass keeps two error chunks live (the one being
+# reduced and the one the helper thread computes) plus the kernel's two
+# scratch chunks, all allocated once per pass: 2 MiB at this cap. At
+# 512 KiB per float64 chunk the kernel's working set fits a 2 MiB L2: on
+# a 2-core Xeon with 2 MiB L2 per core, the serial error pass of a
 # 1000 x 1000 stream took ~20 ms against ~32 ms at twice this cap, and
 # scoring the candidates did not slow. The cloud pass's moved-point buffer
 # holds 3 float64s per source point and obeys the same cap: 2 hypotheses
@@ -378,6 +392,22 @@ def _score_pass(specs, h: int, blocks, reduce) -> tuple[np.ndarray, np.ndarray]:
     return values, shared_s + own_s
 
 
+def _prefetched(items):
+    """Yield from `items`, advancing it one step ahead on a helper thread.
+
+    An exception raised by a step comes out of the matching ``next``.
+    Closing the generator waits for the step in flight, so the helper
+    thread never outlives the iteration.
+    """
+    it = iter(items)
+    done = object()
+    with ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(next, it, done)
+        while (item := pending.result()) is not done:
+            pending = pool.submit(next, it, done)
+            yield item
+
+
 def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
                        sources: np.ndarray, targets: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -389,27 +419,43 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     score 0 (inlier-count, mae, mse, log-cosh, exp). Each such spec keeps
     the candidates below its own t and evaluates its inlier formula only
     there; inlier-count just counts them per row. The other kinds score the
-    dense chunk. Element-for-element identical to calling
-    :func:`_corr_value` per hypothesis and spec: errors come from the
-    batch-size-independent :func:`_errors_batch` kernel, and each row is
-    summed with every score at its own position and 0 elsewhere, exactly
-    like a standalone 1-D sum.
+    dense chunk. A helper thread runs the error kernel one chunk ahead,
+    into the one of two reused result buffers that the calling thread is
+    not reducing, while the calling thread extracts candidates and runs
+    every reduction in chunk order; so the shared-pass seconds count only
+    the kernel time that the reductions did not overlap. Element-for-element
+    identical to calling :func:`_corr_value` per hypothesis and spec: errors
+    come from the batch-size-independent :func:`_errors_batch` kernel, and
+    each row is summed with every score at its own position and 0
+    elsewhere, exactly like a standalone 1-D sum.
     """
     h = rotations.shape[0]
     n = sources.shape[0]
     chunk = max(1, _BATCH_ELEMENTS // max(n, 1))
+    rows = min(chunk, h)
     # Errors are non-negative, so t_max = 0 (no zero-outlier spec) leaves
     # no candidates.
     t_max = max((s.t for s in specs if s.kind in _ZERO_OUTLIER_KINDS),
                 default=0.0)
     # One zeroed scatter buffer, reused by every spec and chunk; each
     # reduction clears what it wrote.
-    sink = np.zeros(min(chunk, h) * n)
+    sink = np.zeros(rows * n)
+    # Chunks alternate between two result buffers: the helper fills one
+    # while the calling thread reduces the other. Only the helper touches
+    # the scratch pair.
+    results = np.empty((2, rows, n))
+    scratch = np.empty((2, rows, n))
 
-    def blocks():
-        for lo in range(0, h, chunk):
-            e = _errors_batch(rotations[lo:lo + chunk],
-                              translations[lo:lo + chunk], sources, targets)
+    def errors():
+        for i, lo in enumerate(range(0, h, chunk)):
+            r = min(chunk, h - lo)
+            yield lo, _errors_batch(
+                rotations[lo:lo + r], translations[lo:lo + r], sources,
+                targets, out=(results[i % 2, :r], scratch[0, :r],
+                              scratch[1, :r]))
+
+    def blocks(chunks):
+        for lo, e in chunks:
             flat = np.flatnonzero(e < t_max)
             yield slice(lo, lo + chunk), (e, flat, e.reshape(-1)[flat])
 
@@ -426,7 +472,8 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
         sink[idx] = 0.0
         return total
 
-    return _score_pass(specs, h, blocks(), reduce)
+    with closing(_prefetched(errors())) as chunks:
+        return _score_pass(specs, h, blocks(chunks), reduce)
 
 
 def _cloud_points(source) -> np.ndarray:

@@ -81,7 +81,10 @@ class RegistrationResult:
 
     `best_iteration` is the 0-based index of the first iteration that
     attained the maximum score. `elapsed_eval_time` covers hypothesis
-    scoring only; `elapsed_total_time` covers the whole run.
+    scoring only: for a correspondence metric, the wait for each chunk of
+    errors that the helper thread had not finished while the previous
+    chunk was reduced, plus the reductions. `elapsed_total_time` covers the
+    whole run.
     """
 
     best_transform: RigidTransform
@@ -153,12 +156,14 @@ def _score_hypotheses(rotations: np.ndarray, translations: np.ndarray, specs,
     """Score every hypothesis of a stream under every spec.
 
     Returns (values, seconds): values[k, i] is specs[k]'s score of
-    hypothesis i, and seconds[k] the time of the shared error (or
-    nearest-neighbour) pass plus spec k's own reductions. Correspondence
-    specs share one chunked error pass, which also extracts the errors
-    below the largest threshold of the kinds whose outliers score 0, so
-    those specs touch only their own inliers; see
-    :func:`~ransacreg.metrics._corr_values_batch`. Cloud specs share one
+    hypothesis i, and seconds[k] the time the calling thread spent in the
+    shared error (or nearest-neighbour) pass plus spec k's own reductions.
+    Correspondence specs share one chunked error pass, which also extracts
+    the errors below the largest threshold of the kinds whose outliers
+    score 0, so those specs touch only their own inliers. A helper thread
+    computes each chunk's errors while the previous chunk is reduced, so
+    the shared part counts only the kernel time that was not overlapped;
+    see :func:`~ransacreg.metrics._corr_values_batch`. Cloud specs share one
     threaded nearest-neighbour query per chunk of hypotheses and need
     `source` and `target_index`; MissingClouds, EmptyCloud or InvalidInput
     is raised before any scoring when they are absent, the source is empty

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -501,23 +503,48 @@ def test_hypothesis_score_requires_finite_value():
 def test_batch_scoring_equals_sequential_bitwise(monkeypatch):
     """The RANSAC fast path must reproduce per-hypothesis scoring bit for
     bit, for every correspondence kind scored together from one shared
-    error pass, across chunk boundaries."""
+    error pass, across chunk boundaries: 7 chunks of 10 rows with a partial
+    last chunk. A helper thread computes each chunk's errors while the
+    caller reduces the previous one, so consecutive chunks must land in
+    different result buffers, and only the helper may run the kernel."""
     monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", 700)  # 10 rows
+    kernel = metrics_module._errors_batch
+    caller = threading.current_thread()
+    seen = []
+
+    def checked_kernel(rot, trans, src, tgt, out=None):
+        assert out is not None and threading.current_thread() is not caller
+        if seen:
+            assert not np.shares_memory(out[0], seen[-1])
+        seen.append(out[0])
+        return kernel(rot, trans, src, tgt, out=out)
+
+    monkeypatch.setattr(metrics_module, "_errors_batch", checked_kernel)
     rng = np.random.default_rng(45)
     corrs = random_corrs(rng, n=70, spread=20.0)
     h = 64
     rotations = np.stack([random_rotation(rng) for _ in range(h)])
     translations = rng.standard_normal((h, 3)) * 10
-    specs = [spec_for(kind) for kind in sorted(CORRESPONDENCE_KINDS)]
-    batch, seconds = _corr_values_batch(specs, rotations, translations,
-                                        corrs.sources, corrs.targets)
+    specs = [spec_for(kind, t=t) for kind in sorted(CORRESPONDENCE_KINDS)
+             for t in (2.5, 7.5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads finely
+    try:
+        batch, seconds = _corr_values_batch(specs, rotations, translations,
+                                            corrs.sources, corrs.targets)
+    finally:
+        sys.setswitchinterval(interval)
     assert batch.shape == (len(specs), h)
     assert seconds.shape == (len(specs),) and np.all(seconds >= 0.0)
+    assert len(seen) == 7 and len({b.ctypes.data for b in seen}) == 2
+    monkeypatch.setattr(metrics_module, "_errors_batch", kernel)
     for k, spec in enumerate(specs):
-        for i in range(h):
-            scalar = _corr_value(spec, rotations[i], translations[i],
-                                 corrs.sources, corrs.targets)
-            assert batch[k, i] == scalar, (spec.kind, i)
+        scalar = np.array([_corr_value(spec, rotations[i], translations[i],
+                                       corrs.sources, corrs.targets)
+                           for i in range(h)])
+        np.testing.assert_array_equal(batch[k].view(np.uint64),
+                                      scalar.view(np.uint64),
+                                      err_msg=f"{spec.kind} t={spec.t}")
 
 
 def _masked_scatter_scores(spec, e):
@@ -576,7 +603,7 @@ def test_scoring_matches_masked_scatter_reference_bitwise(monkeypatch):
 
     # Hypothesis i is the error row i, addressed by its x translation.
     monkeypatch.setattr(metrics_module, "_errors_batch",
-                        lambda rot, trans, src, tgt:
+                        lambda rot, trans, src, tgt, out=None:
                         errors[trans[:, 0].astype(np.intp)])
     monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", 5 * n)
     translations = np.zeros((h, 3))

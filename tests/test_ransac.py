@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from ransacreg import (
     sample_minimal,
     triangle_area,
 )
+from ransacreg import metrics as metrics_module
 from ransacreg.ransac import SAMPLE_SIZE, _degeneracy_area
 
 from conftest import random_rigid
@@ -194,6 +197,38 @@ def test_run_ransac_result_fields():
     assert 0.0 <= result.elapsed_eval_time <= result.elapsed_total_time
     assert result.best_score.value == evaluate_hypothesis(
         MAE, result.best_transform, corrs).value
+
+
+def test_error_kernel_failure_on_helper_thread_reaches_caller(monkeypatch):
+    """The error kernel runs one chunk ahead on a helper thread; an
+    exception it raises there must reach run_ransac's caller as the same
+    object, and no helper thread may outlive either run."""
+    monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", 4 * 50)
+    rng = np.random.default_rng(61)
+    corrs, _ = make_corrs(rng, n=50, outlier_ratio=0.3)
+    cfg = RansacConfig(metric=MAE, seed=5, iterations=40)  # 10 chunks
+    baseline = threading.active_count()
+    run_ransac(cfg, corrs)
+    assert threading.active_count() == baseline
+
+    kernel = metrics_module._errors_batch
+    caller = threading.current_thread()
+    failure = RuntimeError("kernel failed")
+    raised_on = []
+
+    def failing_kernel(*args, **kwargs):
+        if len(raised_on) == 3:
+            raised_on.append(threading.current_thread())
+            raise failure
+        raised_on.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_module, "_errors_batch", failing_kernel)
+    with pytest.raises(RuntimeError) as excinfo:
+        run_ransac(cfg, corrs)
+    assert excinfo.value is failure
+    assert raised_on[-1] is not None and raised_on[-1] is not caller
+    assert threading.active_count() == baseline
 
 
 def test_run_ransac_single_iteration():
