@@ -23,7 +23,7 @@ from .cloudio import (FORMATS, parse_cloud_file, parse_correspondence_file,
 from .errors import BadConfig, RansacRegError, TooFewPoints
 from .evalbench import (EvalConfig, MetricPlan, SWEEP_AXES, rmse,
                         run_experiment)
-from .metrics import CLOUD_KINDS, CorrespondenceSet, MetricKind, MetricSpec
+from .metrics import CLOUD_KINDS, CorrespondenceSet, MetricKind
 from .ransac import RansacConfig, run_ransac
 from .spatial import build_index
 from .synth import (CorrespondenceConfig, SceneConfig,
@@ -195,9 +195,8 @@ def _cmd_register(args) -> int:
                 "without --corrs the clouds must be equal-sized "
                 f"(index-paired), got {len(source)} vs {len(target)}")
         corrs = CorrespondenceSet(source.points, target.points)
-    pr = target.resolution
-    spec = MetricSpec(kind=args.metric, t=args.t * pr, m=args.m, pr=pr,
-                      t_overlap=args.t_overlap * pr)
+    spec = MetricPlan(args.metric, args.t, args.m,
+                      args.t_overlap).bind(target.resolution)
     config = RansacConfig(metric=spec, seed=args.seed,
                           iterations=args.iterations)
     if spec.kind in CLOUD_KINDS:
@@ -229,6 +228,19 @@ def _write_csv(path: str, rows) -> None:
             ]) + "\n")
 
 
+def _scene_config(args, seed: int = 0) -> SceneConfig:
+    return SceneConfig(n_points=args.n_points, shape=args.shape,
+                       gt_rotation_angle=args.angle,
+                       gt_translation_magnitude=args.translation, seed=seed,
+                       diameter=args.diameter)
+
+
+def _corr_config(args, seed: int = 0) -> CorrespondenceConfig:
+    return CorrespondenceConfig(n_correspondences=args.n_corrs,
+                                inlier_ratio=args.inlier_ratio,
+                                inlier_sigma_pr=args.sigma, seed=seed)
+
+
 def _cmd_bench(args) -> int:
     plans = tuple(MetricPlan(kind=k, t_pr=args.t, m=args.m,
                              t_overlap_pr=args.t_overlap)
@@ -237,24 +249,14 @@ def _cmd_bench(args) -> int:
                      sweep_values=args.values, trials=args.trials,
                      d_rmse_pr=args.d_rmse, iterations=args.iterations,
                      hole_fraction=args.hole_fraction, base_seed=args.seed)
-    scene_cfg = SceneConfig(n_points=args.n_points, shape=args.shape,
-                            gt_rotation_angle=args.angle,
-                            gt_translation_magnitude=args.translation,
-                            diameter=args.diameter)
-    corr_cfg = CorrespondenceConfig(n_correspondences=args.n_corrs,
-                                    inlier_ratio=args.inlier_ratio,
-                                    inlier_sigma_pr=args.sigma)
-    rows = run_experiment(cfg, scene_cfg, corr_cfg)
+    rows = run_experiment(cfg, _scene_config(args), _corr_config(args))
     _write_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_synth(args) -> int:
-    scene = generate_scene(SceneConfig(
-        n_points=args.n_points, shape=args.shape, diameter=args.diameter,
-        gt_rotation_angle=args.angle,
-        gt_translation_magnitude=args.translation, seed=args.seed))
+    scene = generate_scene(_scene_config(args, args.seed))
     write_cloud_file(args.out_source, scene.source)
     write_cloud_file(args.out_target, scene.target)
     written = [args.out_source, args.out_target]
@@ -262,9 +264,8 @@ def _cmd_synth(args) -> int:
         write_transform_file(args.out_gt, scene.gt)
         written.append(args.out_gt)
     if args.out_corrs:
-        corrs, _ = generate_correspondences(scene, CorrespondenceConfig(
-            n_correspondences=args.n_corrs, inlier_ratio=args.inlier_ratio,
-            inlier_sigma_pr=args.sigma, seed=args.seed + 1))
+        corrs, _ = generate_correspondences(
+            scene, _corr_config(args, args.seed + 1))
         write_correspondence_file(args.out_corrs, corrs)
         written.append(args.out_corrs)
     print(f"scene: {len(scene.target)} points, resolution "

@@ -59,17 +59,40 @@ def _parse_float(token: str, path: str, lineno: int) -> float:
     return value
 
 
-def _parse_xyz(lines: list[str], path: str) -> PointCloud:
-    points = []
+def _resolve_format(path: str, format: str | None) -> str:
+    """`format`, or the one the suffix of `path` names when it is None."""
+    if format is None:
+        format = detect_format(path)
+    if format not in FORMATS:
+        raise UnsupportedFormat(
+            f"unknown format {format!r}; expected one of {FORMATS}")
+    return format
+
+
+def _read_lines(path: str) -> list[str]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def _numeric_rows(lines: list[str], path: str, width: int | None = None,
+                  unit: str = "values") -> list[list[float]]:
+    """The numbers on each line left non-blank once its `#` comment is cut.
+    With `width`, a line of any other token count raises ParseError before
+    its tokens are parsed; every error names the line."""
+    rows = []
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = text.split()
-        if len(tokens) != 3:
+        if width is not None and len(tokens) != width:
             raise ParseError(
-                f"expected 3 coordinates, got {len(tokens)}", path, lineno)
-        points.append([_parse_float(t, path, lineno) for t in tokens])
+                f"expected {width} {unit}, got {len(tokens)}", path, lineno)
+        rows.append([_parse_float(t, path, lineno) for t in tokens])
+    return rows
+
+
+def _parse_xyz(lines: list[str], path: str) -> PointCloud:
+    points = _numeric_rows(lines, path, 3, "coordinates")
     if not points:
         raise ParseError("no points found (empty cloud)", path)
     return PointCloud(np.array(points))
@@ -178,13 +201,8 @@ def parse_cloud_file(path, format: str | None = None) -> PointCloud:
     unrecognized formats.
     """
     path = str(path)
-    if format is None:
-        format = detect_format(path)
-    if format not in FORMATS:
-        raise UnsupportedFormat(
-            f"unknown format {format!r}; expected one of {FORMATS}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    format = _resolve_format(path, format)
+    lines = _read_lines(path)
     if format == "xyz-ascii":
         return _parse_xyz(lines, path)
     return _parse_ply(lines, path)
@@ -193,17 +211,7 @@ def parse_cloud_file(path, format: str | None = None) -> PointCloud:
 def parse_correspondence_file(path) -> CorrespondenceSet:
     """Read correspondences: one "xs ys zs xt yt zt" line per item."""
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    rows = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        tokens = text.split()
-        if len(tokens) != 6:
-            raise ParseError(f"expected 6 values, got {len(tokens)}", path, lineno)
-        rows.append([_parse_float(t, path, lineno) for t in tokens])
+    rows = _numeric_rows(_read_lines(path), path, 6)
     if not rows:
         raise ParseError("no correspondences found", path)
     data = np.array(rows)
@@ -213,14 +221,7 @@ def parse_correspondence_file(path) -> CorrespondenceSet:
 def parse_transform_file(path) -> RigidTransform:
     """Read a rigid transform: 12 numbers ([R | t] rows) or a 4x4 matrix."""
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    values = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        values.extend(_parse_float(t, path, lineno) for t in text.split())
+    values = [v for row in _numeric_rows(_read_lines(path), path) for v in row]
     if len(values) == 16:
         matrix = np.array(values).reshape(4, 4)
         if not np.allclose(matrix[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9):
@@ -258,11 +259,7 @@ def write_transform_file(path, transform: RigidTransform) -> None:
 def write_cloud_file(path, cloud: PointCloud, format: str | None = None) -> None:
     """Write a cloud as ASCII XYZ or ASCII PLY (suffix-detected by default)."""
     path = str(path)
-    if format is None:
-        format = detect_format(path)
-    if format not in FORMATS:
-        raise UnsupportedFormat(
-            f"unknown format {format!r}; expected one of {FORMATS}")
+    format = _resolve_format(path, format)
     pts = cloud.points
     with open(path, "w", encoding="utf-8") as fh:
         if format == "ply-ascii":

@@ -68,10 +68,10 @@ class EmptyGroundTruth(RansacRegError):
     """RMSE was requested against an empty ground-truth pair set."""
 
 
-class InvalidInput(RansacRegError):
-    """An operation received malformed input: points of the wrong shape or
-    with non-finite coordinates, or degenerate benchmark input (e.g. no
-    hypotheses)."""
+class InvalidInput(RansacRegError, ValueError):
+    """An operation received malformed input: points that are not numeric,
+    not shaped (N, 3) or (3,), or not finite, or degenerate benchmark input
+    (e.g. no hypotheses). Also a ValueError, like numpy's bad-array errors."""
 
 
 # --- file IO ----------------------------------------------------------------

@@ -34,7 +34,7 @@ from .metrics import (CLOUD_KINDS, CorrespondenceSet, MetricKind, MetricSpec,
                       evaluate_hypothesis_cloud)
 from .ransac import _sample_hypotheses, _score_hypotheses
 from .spatial import NeighborIndex, build_index
-from .synth import (CorrespondenceConfig, SceneConfig, ScenePair,
+from .synth import (CorrespondenceConfig, SceneConfig, ScenePair, _as_pairs,
                     _hole_survivor_indices, _random_keep_indices,
                     _uniform_keep_indices, add_gaussian_noise,
                     generate_correspondences, generate_scene)
@@ -65,12 +65,13 @@ def rmse(est: RigidTransform, gt_pairs) -> float:
     gt_pairs is an (N, 2, 3) array (or any sequence of (p_s, p_t) pairs);
     the value is sum_j ||R p_s_j + t - p_t_j|| / N. Despite the
     conventional name, no squaring is applied beyond the per-pair norm.
+    Raises :class:`EmptyGroundTruth` for no pairs and :class:`InvalidInput`
+    for any other shape or a non-finite coordinate.
     """
-    pairs = np.asarray(gt_pairs, dtype=np.float64)
+    pairs = np.asarray(gt_pairs)
     if pairs.size == 0:
         raise EmptyGroundTruth("need at least one ground-truth pair")
-    if pairs.ndim != 3 or pairs.shape[1:] != (2, 3):
-        raise ValueError(f"gt_pairs must have shape (N, 2, 3), got {pairs.shape}")
+    pairs = _as_pairs(pairs)
     errors = _pair_errors(est.rotation, est.translation,
                           pairs[:, 0, :], pairs[:, 1, :])
     return float(np.mean(errors))

@@ -15,8 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateSample, InsufficientPairs, TooFewPoints
-from .spatial import build_index
+from .errors import (DegenerateSample, InsufficientPairs, InvalidInput,
+                     TooFewPoints)
+from .spatial import _as_points, build_index
 
 __all__ = [
     "PointCloud",
@@ -35,32 +36,19 @@ ROTATION_TOL = 1e-9
 DEGENERACY_AREA_FACTOR = 1e-6
 
 
-def _as_xyz(points, name: str = "points") -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1 and pts.shape == (3,):
-        return pts
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"{name} must have shape (N, 3) or (3,), got {pts.shape}")
-    return pts
-
-
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """An immutable ordered set of 3D points with a lazily cached resolution.
 
-    The constructor copies its input and freezes the array, so the cached
-    resolution can never go stale.
+    The constructor takes an (N, 3) array-like (N = 0 included), one (3,)
+    point or a PointCloud (else :class:`InvalidInput`). It copies its input
+    and freezes the array, so the cached resolution can never go stale.
     """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _as_xyz(self.points)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, 3)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("point coordinates must be finite")
-        pts = np.array(pts, copy=True)
+        pts = np.array(_as_points(self.points), copy=True)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -110,7 +98,9 @@ class RigidTransform:
 
     def apply(self, points) -> np.ndarray:
         """Map a point (3,) or point array (N, 3) through R p + t."""
-        pts = _as_xyz(points)
+        pts = _as_points(points)
+        if np.ndim(points) == 1:  # one (3,) point in, one (3,) point out
+            pts = pts[0]
         return pts @ self.rotation.T + self.translation
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
@@ -167,11 +157,10 @@ def cloud_resolution(cloud) -> float:
 
     Exact: the neighbor found by the spatial index is re-measured with the
     same numpy formula a brute-force scan uses. Accepts a PointCloud or a
-    raw (N, 3) array; raises :class:`TooFewPoints` below 2 points.
+    raw (N, 3) array; raises :class:`InvalidInput` for malformed points and
+    :class:`TooFewPoints` below 2 points.
     """
-    pts = getattr(cloud, "points", None)
-    if pts is None:
-        pts = _as_xyz(cloud)
+    pts = _as_points(cloud, "cloud")
     if pts.shape[0] < 2:
         raise TooFewPoints("cloud resolution needs at least 2 points")
     index = build_index(pts)
@@ -198,15 +187,15 @@ def estimate_rigid_transform(source, target, *,
     squared resolution of the source points); larger inputs are rejected
     only when the source points are rank-deficient (collinear).
 
-    Raises :class:`InsufficientPairs` for < 3 pairs and
-    :class:`DegenerateSample` for collinear/coincident source points.
+    Raises :class:`InvalidInput` for malformed points or source/target
+    arrays of different shapes, :class:`InsufficientPairs` for < 3 pairs
+    and :class:`DegenerateSample` for collinear/coincident source points.
     """
-    src = _as_xyz(source, "source")
-    tgt = _as_xyz(target, "target")
-    if src.ndim == 1 or tgt.ndim == 1:
-        raise InsufficientPairs("need point arrays of shape (N, 3)")
+    src = _as_points(source, "source")
+    tgt = _as_points(target, "target")
     if src.shape != tgt.shape:
-        raise ValueError(f"source/target shapes differ: {src.shape} vs {tgt.shape}")
+        raise InvalidInput(
+            f"source/target shapes differ: {src.shape} vs {tgt.shape}")
     n = src.shape[0]
     if n < 3:
         raise InsufficientPairs(f"need at least 3 pairs, got {n}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EmptyCloud, InvalidInput, InvalidSpec
 from .geom import RigidTransform
-from .spatial import NeighborIndex
+from .spatial import NeighborIndex, _as_points
 
 __all__ = [
     "Correspondence",
@@ -71,24 +71,19 @@ CLOUD_KINDS = frozenset({MetricKind.PC_DIST, MetricKind.OVERLAP_COUNT})
 CORRESPONDENCE_KINDS = frozenset(MetricKind) - CLOUD_KINDS
 
 
-def _point3(value, name: str) -> np.ndarray:
-    p = np.array(value, dtype=np.float64, copy=True).reshape(3)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"{name} must be finite")
-    p.setflags(write=False)
-    return p
-
-
 @dataclass(frozen=True, eq=False)
 class Correspondence:
-    """A putative match c = (p_s, p_t) between a source and a target point."""
+    """A putative match c = (p_s, p_t) between a source and a target point;
+    InvalidInput unless each is exactly one finite 3-D point."""
 
     source: np.ndarray
     target: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "source", _point3(self.source, "source"))
-        object.__setattr__(self, "target", _point3(self.target, "target"))
+        for name in ("source", "target"):
+            p = np.array(_as_points(getattr(self, name), name, one=True)[0])
+            p.setflags(write=False)
+            object.__setattr__(self, name, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,20 +91,20 @@ class CorrespondenceSet:
     """An ordered collection of correspondences, stored as parallel arrays.
 
     `sources[j]` pairs with `targets[j]`. Array storage keeps hypothesis
-    evaluation vectorized; `items` offers the per-item view.
+    evaluation vectorized; `items` offers the per-item view. Sources and
+    targets are each an (N, 3) array-like or one (3,) point, of the same
+    shape and finite; anything else raises :class:`InvalidInput`.
     """
 
     sources: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
-        src = np.array(self.sources, dtype=np.float64, copy=True).reshape(-1, 3)
-        tgt = np.array(self.targets, dtype=np.float64, copy=True).reshape(-1, 3)
+        src = np.array(_as_points(self.sources, "sources"), copy=True)
+        tgt = np.array(_as_points(self.targets, "targets"), copy=True)
         if src.shape != tgt.shape:
-            raise ValueError(
+            raise InvalidInput(
                 f"sources/targets must pair up, got {src.shape} vs {tgt.shape}")
-        if not (np.all(np.isfinite(src)) and np.all(np.isfinite(tgt))):
-            raise ValueError("correspondence coordinates must be finite")
         src.setflags(write=False)
         tgt.setflags(write=False)
         object.__setattr__(self, "sources", src)
@@ -477,24 +472,11 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
 
 
 def _cloud_points(source) -> np.ndarray:
-    """The (N, 3) points of a PointCloud, an (N, 3) array or one (3,) point.
-
-    Raises EmptyCloud if N = 0 and InvalidInput for any other shape or for
-    non-finite coordinates.
-    """
-    try:
-        pts = np.asarray(getattr(source, "points", source), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"source points must be numeric: {exc}") from None
-    if pts.shape == (3,):
-        pts = pts.reshape(1, 3)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise InvalidInput(
-            f"source must have shape (N, 3) or (3,), got {pts.shape}")
+    """The checked (N, 3) points of a cloud metric's source; EmptyCloud if
+    N = 0, InvalidInput if malformed."""
+    pts = _as_points(source, "source")
     if pts.shape[0] == 0:
         raise EmptyCloud("source cloud is empty")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInput("source point coordinates must be finite")
     return pts
 
 

@@ -11,6 +11,7 @@ The batch queries (:meth:`NeighborIndex.nearest_distances` and
 :meth:`NeighborIndex.nearest_other_distances`) run on every CPU core.
 The tree traverses each query row on its own, so their results do not
 depend on the thread count. Single-point queries stay serial.
+`_as_points` is the package's one check of point input.
 """
 
 from __future__ import annotations
@@ -30,19 +31,28 @@ __all__ = ["NeighborIndex", "build_index"]
 _RADIUS_SLACK = 1e-9
 
 
-def _as_points(cloud) -> np.ndarray:
-    pts = getattr(cloud, "points", cloud)
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected an (N, 3) point array, got shape {pts.shape}")
+def _as_points(points, name: str = "points", *, one: bool = False
+               ) -> np.ndarray:
+    """The float64 (N, 3) points of a PointCloud, an (N, 3) array-like or
+    one (3,) point (float64 input is not copied). Raises InvalidInput for
+    non-numeric input, any other shape, a non-finite coordinate, or (with
+    `one`) other than one point; N = 0 passes: the caller decides on empty.
+    """
+    try:
+        pts = np.asarray(getattr(points, "points", points))
+    except (TypeError, ValueError) as exc:  # e.g. ragged nesting
+        raise InvalidInput(f"{name} must be a numeric array: {exc}") from None
+    if pts.dtype.kind not in "biuf":
+        raise InvalidInput(f"{name} must be numeric, got dtype {pts.dtype}")
+    pts = pts.astype(np.float64, copy=False)
+    if pts.shape == (3,):
+        pts = pts.reshape(1, 3)
+    if pts.ndim != 2 or pts.shape[1] != 3 or (one and pts.shape[0] != 1):
+        want = "one (3,) point" if one else "an (N, 3) array or one (3,) point"
+        raise InvalidInput(f"{name} must be {want}, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise InvalidInput(f"{name} must have finite coordinates")
     return pts
-
-
-def _query_point(q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64).reshape(3)
-    if not np.all(np.isfinite(q)):
-        raise InvalidInput(f"query point must be finite, got {q}")
-    return q
 
 
 def _scan_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -63,28 +73,22 @@ class NeighborIndex:
         return self.points.shape[0]
 
     def nearest(self, q) -> tuple[int, float]:
-        """Index and distance of the closest indexed point to `q`.
-
-        Ties are broken by the lowest point index.
+        """Index and distance of the closest indexed point to `q`: the
+        :meth:`knn` answer for k = 1, so ties go to the lowest point index.
         """
-        q = _query_point(q)
-        d0, _ = self._tree.query(q)
-        r = d0 * (1.0 + _RADIUS_SLACK)
-        candidates = self._tree.query_ball_point(q, r)
-        cand = np.sort(np.asarray(candidates, dtype=np.intp))
-        dists = _scan_distances(self.points[cand], q)
-        best = int(np.argmin(dists))  # argmin takes the first (lowest) index
-        return int(cand[best]), float(dists[best])
+        idx, dists = self.knn(q, 1)
+        return int(idx[0]), float(dists[0])
 
     def knn(self, q, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k nearest indexed points to `q`.
 
         Returns (indices, distances) sorted ascending by distance, ties by
-        index. Raises :class:`KTooLarge` unless 1 <= k <= point_count.
+        index. Raises :class:`KTooLarge` unless 1 <= k <= point_count and
+        :class:`InvalidInput` unless `q` is exactly one finite point.
         """
         if not 1 <= k <= self.point_count:
             raise KTooLarge(f"k={k} not in [1, {self.point_count}]")
-        q = _query_point(q)
+        q = _as_points(q, "query", one=True)[0]
         kth = self._tree.query(q, k=k)[0]
         kth = float(np.atleast_1d(kth)[-1])
         r = kth * (1.0 + _RADIUS_SLACK)
@@ -124,16 +128,14 @@ class NeighborIndex:
 def build_index(cloud) -> NeighborIndex:
     """Build an immutable exact NN index over a cloud's points.
 
-    Accepts a PointCloud or a raw (N, 3) array; the points are copied so
-    later mutation of the source cannot corrupt the index. Raises
-    :class:`EmptyCloud` for an empty input, :class:`InvalidInput` for
-    non-finite coordinates and ValueError for a wrong shape.
+    Accepts a PointCloud, a raw (N, 3) array or one (3,) point; the points
+    are copied so later mutation of the source cannot corrupt the index.
+    Raises :class:`EmptyCloud` for an empty input and :class:`InvalidInput`
+    (also a ValueError) for malformed points.
     """
-    pts = _as_points(cloud)
+    pts = _as_points(cloud, "cloud")
     if pts.shape[0] == 0:
         raise EmptyCloud("cannot index an empty cloud")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInput("point coordinates must be finite")
-    pts = np.array(pts, dtype=np.float64, copy=True)
+    pts = np.array(pts, copy=True)
     pts.setflags(write=False)
     return NeighborIndex(points=pts, _tree=cKDTree(pts))

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig
+from .errors import BadConfig, InvalidInput
 from .geom import PointCloud, RigidTransform, rotation_about_axis
 from .metrics import CorrespondenceSet
-from .spatial import build_index
+from .spatial import _as_points, build_index
 
 __all__ = [
     "CorrespondenceConfig",
@@ -110,6 +110,7 @@ class ScenePair:
 
     `gt_pairs` has shape (N, 2, 3); gt_pairs[j] = (p_s, p_t) where the
     ground-truth pose maps p_s onto p_t (exactly, when built noise-free).
+    Any other shape or a non-finite coordinate raises :class:`InvalidInput`.
     """
 
     source: PointCloud
@@ -118,9 +119,7 @@ class ScenePair:
     gt_pairs: np.ndarray
 
     def __post_init__(self):
-        pairs = np.array(self.gt_pairs, dtype=np.float64, copy=True)
-        if pairs.ndim != 3 or pairs.shape[1:] != (2, 3):
-            raise ValueError(f"gt_pairs must have shape (N, 2, 3), got {pairs.shape}")
+        pairs = np.array(_as_pairs(self.gt_pairs), copy=True)
         pairs.setflags(write=False)
         object.__setattr__(self, "gt_pairs", pairs)
 
@@ -131,6 +130,16 @@ class ScenePair:
     @property
     def pair_targets(self) -> np.ndarray:
         return self.gt_pairs[:, 1, :]
+
+
+def _as_pairs(gt_pairs) -> np.ndarray:
+    """Ground-truth pairs as a float64 (N, 2, 3) array; InvalidInput for
+    any other shape or for malformed points."""
+    pairs = np.asarray(gt_pairs)
+    if pairs.ndim != 3 or pairs.shape[1:] != (2, 3):
+        raise InvalidInput(
+            f"gt_pairs must have shape (N, 2, 3), got {pairs.shape}")
+    return _as_points(pairs.reshape(-1, 3), "gt_pairs").reshape(pairs.shape)
 
 
 def _blob_points(rng: np.random.Generator, n: int, diameter: float) -> np.ndarray:

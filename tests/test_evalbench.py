@@ -25,6 +25,7 @@ from ransacreg import (
     RigidTransform,
     SWEEP_AXES,
     SceneConfig,
+    ScenePair,
     build_index,
     is_correct,
     generate_correspondences,
@@ -77,6 +78,19 @@ def test_rmse_validation():
         rmse(ident, np.empty((0, 2, 3)))
     with pytest.raises(ValueError):
         rmse(ident, np.zeros((4, 3)))
+    with pytest.raises(InvalidInput):
+        rmse(ident, np.zeros((4, 3)))
+    # A non-finite pair is malformed input, not an RMSE of nan that
+    # is_correct would silently grade as a miss.
+    scene = generate_scene(SceneConfig(n_points=20, seed=1))
+    for bad in (np.nan, np.inf, -np.inf):
+        pairs = np.array(scene.gt_pairs)
+        pairs[3, 1, 2] = bad
+        with pytest.raises(InvalidInput):
+            rmse(ident, pairs)
+        with pytest.raises(InvalidInput):
+            ScenePair(source=scene.source, target=scene.target, gt=scene.gt,
+                      gt_pairs=pairs)
 
 
 def test_is_correct_strict_boundary():

@@ -1,0 +1,125 @@
+"""One boundary for 3-D point input.
+
+Every public entry point that takes points raises InvalidInput, which is
+also a ValueError and a RansacRegError, for a malformed point array; any
+finite (N, 3) array or (3,) point is accepted unchanged.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from ransacreg import (Correspondence, CorrespondenceSet, InvalidInput,
+                       MetricKind, MetricSpec, PointCloud, RansacConfig,
+                       RansacRegError, RigidTransform, build_index,
+                       cloud_resolution, estimate_rigid_transform,
+                       evaluate_hypothesis_cloud, run_ransac)
+
+_rng = np.random.default_rng(71)
+GOOD = _rng.normal(size=(5, 3))
+INDEX = build_index(_rng.normal(size=(12, 3)))
+CORRS = CorrespondenceSet(GOOD, GOOD + 1.0)
+IDENT = RigidTransform.identity()
+PC_DIST = MetricSpec(kind=MetricKind.PC_DIST, t=1.0)
+
+# Entry point -> (call with the points under test, a well-formed input).
+ARRAY_ENTRIES = {
+    "PointCloud": lambda p: PointCloud(p),
+    "RigidTransform.apply": lambda p: IDENT.apply(p),
+    "cloud_resolution": lambda p: cloud_resolution(p),
+    "estimate_rigid_transform.source":
+        lambda p: estimate_rigid_transform(p, GOOD),
+    "estimate_rigid_transform.target":
+        lambda p: estimate_rigid_transform(GOOD, p),
+    "build_index": lambda p: build_index(p),
+    "CorrespondenceSet": lambda p: CorrespondenceSet(p, p),
+    "evaluate_hypothesis_cloud":
+        lambda p: evaluate_hypothesis_cloud(PC_DIST, IDENT, p, INDEX),
+    "run_ransac.source": lambda p: run_ransac(
+        RansacConfig(metric=PC_DIST, seed=0, iterations=2), CORRS,
+        source=p, target_index=INDEX),
+}
+POINT_ENTRIES = {
+    "NeighborIndex.nearest": lambda p: INDEX.nearest(p),
+    "NeighborIndex.knn": lambda p: INDEX.knn(p, 1),
+    "Correspondence.source": lambda p: Correspondence(p, GOOD[0]),
+    "Correspondence.target": lambda p: Correspondence(GOOD[0], p),
+}
+
+
+def _with(good: np.ndarray, value: float) -> np.ndarray:
+    bad = good.copy()
+    bad.flat[1] = value
+    return bad
+
+
+def _malformed(good: np.ndarray) -> dict:
+    cases = {
+        "(5, 2)": np.zeros((5, 2)),
+        "(2, 6) pairs": np.arange(12.0).reshape(2, 6),
+        "non-numeric": np.full(good.shape, "a"),
+        "object": [None] * 3,
+        "nan": _with(good, np.nan),
+        "+inf": _with(good, np.inf),
+        "-inf": _with(good, -np.inf),
+    }
+    if good.ndim == 1:
+        cases["(2, 3) query"] = np.zeros((2, 3))
+    return cases
+
+
+CASES = [pytest.param(call, bad, id=f"{entry}-{case}")
+         for entries, good in ((ARRAY_ENTRIES, GOOD), (POINT_ENTRIES, GOOD[0]))
+         for entry, call in entries.items()
+         for case, bad in _malformed(good).items()]
+
+
+@pytest.mark.parametrize("call,bad", CASES)
+def test_malformed_points_raise_invalid_input(call, bad):
+    with pytest.raises(InvalidInput) as excinfo:
+        call(bad)
+    assert isinstance(excinfo.value, ValueError)
+    assert isinstance(excinfo.value, RansacRegError)
+
+
+@pytest.mark.parametrize("entries,good", [(ARRAY_ENTRIES, GOOD),
+                                          (POINT_ENTRIES, GOOD[0])])
+def test_well_formed_points_pass_every_entry_point(entries, good):
+    for call in entries.values():
+        call(good)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SHAPES = st.one_of(st.just((3,)),
+                    st.tuples(st.integers(0, 12), st.just(3)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(hnp.arrays(np.float64, _SHAPES, elements=_FINITE))
+def test_finite_points_are_accepted_bit_for_bit(points):
+    got = PointCloud(points).points
+    want = points.reshape(-1, 3)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def _points_with_non_finite(draw):
+    shape = draw(st.one_of(st.just((3,)),
+                           st.tuples(st.integers(1, 12), st.just(3))))
+    points = draw(hnp.arrays(np.float64, shape, elements=_FINITE))
+    at = draw(st.integers(0, points.size - 1))
+    points.flat[at] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return points
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_points_with_non_finite())
+def test_any_non_finite_coordinate_is_rejected(points):
+    with pytest.raises(InvalidInput):
+        PointCloud(points)
+    with pytest.raises(InvalidInput):
+        build_index(points)
