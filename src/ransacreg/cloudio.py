@@ -3,11 +3,16 @@
 Coordinates are written with shortest round-trip precision (Python float
 repr), so a write/parse cycle reproduces the array bit for bit. Binary
 PLY is recognized and rejected explicitly.
+
+A coordinate token is accepted exactly when Python's `float()` accepts it
+and the value is finite. Each file's tokens are converted in one pass; a
+malformed file raises the first error in file order, with its line.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -74,12 +79,11 @@ def _read_lines(path: str) -> list[str]:
         return fh.read().splitlines()
 
 
-def _numeric_rows(lines: list[str], path: str, width: int | None = None,
-                  unit: str = "values") -> list[list[float]]:
-    """The numbers on each line left non-blank once its `#` comment is cut.
-    With `width`, a line of any other token count raises ParseError before
-    its tokens are parsed; every error names the line."""
-    rows = []
+def _token_rows(lines: list[str], path: str, width: int | None = None,
+                unit: str = "values"):
+    """Yield (line number, tokens) for each line left non-blank once its
+    `#` comment is cut. With `width`, a line of any other token count
+    raises ParseError when it is reached."""
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -87,15 +91,39 @@ def _numeric_rows(lines: list[str], path: str, width: int | None = None,
         if width is not None and len(tokens) != width:
             raise ParseError(
                 f"expected {width} {unit}, got {len(tokens)}", path, lineno)
-        rows.append([_parse_float(t, path, lineno) for t in tokens])
-    return rows
+        yield lineno, tokens
+
+
+def _to_floats(rows, path: str) -> np.ndarray:
+    """Every token of `rows()`, an iterator of (line number, tokens), as
+    one flat float64 array.
+
+    Each token goes through Python's `float()` once and the array gets one
+    finiteness check. If anything is malformed, the rows are walked again
+    in file order, token by token, to raise the first error with its line.
+    """
+    tokens = []
+    try:
+        for _, row in rows():
+            tokens += row
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except (ParseError, ValueError):
+        pass
+    else:
+        if np.isfinite(values).all():
+            return values
+    for lineno, row in rows():
+        for token in row:
+            _parse_float(token, path, lineno)
+    raise AssertionError(f"{path}: malformed, but no token fails to parse")
 
 
 def _parse_xyz(lines: list[str], path: str) -> PointCloud:
-    points = _numeric_rows(lines, path, 3, "coordinates")
-    if not points:
+    points = _to_floats(
+        lambda: _token_rows(lines, path, 3, "coordinates"), path)
+    if not len(points):
         raise ParseError("no points found (empty cloud)", path)
-    return PointCloud(np.array(points))
+    return PointCloud(points.reshape(-1, 3))
 
 
 def _parse_ply(lines: list[str], path: str) -> PointCloud:
@@ -163,42 +191,50 @@ def _parse_ply(lines: list[str], path: str) -> PointCloud:
             f"vertex element lacks x/y/z properties (has {v_props})",
             path, body_start) from None
 
-    points = []
-    lineno = body_start
-    line_iter = iter(range(body_start, len(lines)))
+    points = _to_floats(
+        lambda: _ply_vertex_rows(lines, elements, body_start, columns, path),
+        path)
+    if not len(points):
+        raise ParseError("no points found (empty cloud)", path)
+    return PointCloud(points.reshape(-1, 3))
+
+
+def _ply_vertex_rows(lines: list[str], elements, body_start: int,
+                     columns: list[int], path: str):
+    """Walk the PLY body, which starts after line `body_start`, one element
+    row at a time, and yield (line number, x/y/z tokens) for each vertex
+    row. A vertex row of the wrong width or a file that ends inside an
+    element raises ParseError when it is reached."""
+    pick = operator.itemgetter(*columns)
+    i = body_start  # lines[i] is line i + 1
     for name, count, props, _ in elements:
         rows_read = 0
         while rows_read < count:
-            try:
-                i = next(line_iter)
-            except StopIteration:
+            if i == len(lines):
                 raise ParseError(
                     f"file ends inside element {name!r} "
-                    f"({rows_read} of {count} rows)", path, lineno) from None
-            lineno = i + 1
+                    f"({rows_read} of {count} rows)", path, i)
             tokens = lines[i].split()
+            i += 1
             if not tokens:
                 continue
             if name == "vertex":
                 if len(tokens) != len(props):
                     raise ParseError(
                         f"expected {len(props)} values, got {len(tokens)}",
-                        path, lineno)
-                points.append([_parse_float(tokens[c], path, lineno)
-                               for c in columns])
+                        path, i)
+                yield i, pick(tokens)
             rows_read += 1
-
-    if not points:
-        raise ParseError("no points found (empty cloud)", path)
-    return PointCloud(np.array(points))
 
 
 def parse_cloud_file(path, format: str | None = None) -> PointCloud:
     """Read a point cloud; `format` defaults to suffix detection.
 
-    Raises :class:`ParseError` (with a line number where possible) on
-    malformed content and :class:`UnsupportedFormat` for binary PLY or
-    unrecognized formats.
+    A coordinate is any token that Python's `float()` accepts with a
+    finite value. Raises :class:`ParseError` on malformed content: the
+    first error in file order, with its line number where it has one.
+    Raises :class:`UnsupportedFormat` for binary PLY or unrecognized
+    formats.
     """
     path = str(path)
     format = _resolve_format(path, format)
@@ -211,24 +247,26 @@ def parse_cloud_file(path, format: str | None = None) -> PointCloud:
 def parse_correspondence_file(path) -> CorrespondenceSet:
     """Read correspondences: one "xs ys zs xt yt zt" line per item."""
     path = str(path)
-    rows = _numeric_rows(_read_lines(path), path, 6)
-    if not rows:
+    lines = _read_lines(path)
+    data = _to_floats(lambda: _token_rows(lines, path, 6), path)
+    if not len(data):
         raise ParseError("no correspondences found", path)
-    data = np.array(rows)
+    data = data.reshape(-1, 6)
     return CorrespondenceSet(data[:, :3], data[:, 3:])
 
 
 def parse_transform_file(path) -> RigidTransform:
     """Read a rigid transform: 12 numbers ([R | t] rows) or a 4x4 matrix."""
     path = str(path)
-    values = [v for row in _numeric_rows(_read_lines(path), path) for v in row]
+    lines = _read_lines(path)
+    values = _to_floats(lambda: _token_rows(lines, path), path)
     if len(values) == 16:
-        matrix = np.array(values).reshape(4, 4)
+        matrix = values.reshape(4, 4)
         if not np.allclose(matrix[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9):
             raise ParseError("last row of a 4x4 transform must be 0 0 0 1", path)
         matrix = matrix[:3]
     elif len(values) == 12:
-        matrix = np.array(values).reshape(3, 4)
+        matrix = values.reshape(3, 4)
     else:
         raise ParseError(
             f"expected 12 or 16 numbers for a transform, got {len(values)}", path)

@@ -70,8 +70,11 @@ class EmptyGroundTruth(RansacRegError):
 
 class InvalidInput(RansacRegError, ValueError):
     """An operation received malformed input: points that are not numeric,
-    not shaped (N, 3) or (3,), or not finite, or degenerate benchmark input
-    (e.g. no hypotheses). Also a ValueError, like numpy's bad-array errors."""
+    not shaped (N, 3) or (3,), or not finite; a transform that is not a
+    finite proper rigid motion; values outside their domain (a negative
+    error, a non-finite score, an accuracy outside [0, 1]); or degenerate
+    benchmark input (e.g. no hypotheses). Also a ValueError, like numpy's
+    bad-array errors."""
 
 
 # --- file IO ----------------------------------------------------------------

@@ -33,7 +33,7 @@ from .metrics import (CLOUD_KINDS, CorrespondenceSet, MetricKind, MetricSpec,
                       _pair_errors, evaluate_hypothesis,
                       evaluate_hypothesis_cloud)
 from .ransac import _sample_hypotheses, _score_hypotheses
-from .spatial import NeighborIndex, build_index
+from .spatial import NeighborIndex, _as_array, build_index
 from .synth import (CorrespondenceConfig, SceneConfig, ScenePair, _as_pairs,
                     _hole_survivor_indices, _random_keep_indices,
                     _uniform_keep_indices, add_gaussian_noise,
@@ -66,9 +66,10 @@ def rmse(est: RigidTransform, gt_pairs) -> float:
     the value is sum_j ||R p_s_j + t - p_t_j|| / N. Despite the
     conventional name, no squaring is applied beyond the per-pair norm.
     Raises :class:`EmptyGroundTruth` for no pairs and :class:`InvalidInput`
-    for any other shape or a non-finite coordinate.
+    for ragged or non-numeric pairs, any other shape or a non-finite
+    coordinate.
     """
-    pairs = np.asarray(gt_pairs)
+    pairs = _as_array(gt_pairs, "gt_pairs")
     if pairs.size == 0:
         raise EmptyGroundTruth("need at least one ground-truth pair")
     pairs = _as_pairs(pairs)
@@ -80,7 +81,7 @@ def rmse(est: RigidTransform, gt_pairs) -> float:
 def is_correct(rmse_value: float, d_rmse_pr: float, pr: float) -> bool:
     """True iff rmse_value < d_rmse_pr * pr (strict)."""
     if d_rmse_pr <= 0.0 or pr <= 0.0:
-        raise ValueError("thresholds must be positive")
+        raise InvalidInput("thresholds must be positive")
     return rmse_value < d_rmse_pr * pr
 
 
@@ -179,7 +180,7 @@ class ExperimentRow:
 
     def __post_init__(self):
         if not (0.0 <= self.accuracy <= 1.0):
-            raise ValueError(f"accuracy must lie in [0, 1], got {self.accuracy}")
+            raise InvalidInput(f"accuracy must lie in [0, 1], got {self.accuracy}")
 
 
 def _derive_seed(base_seed: int, trial: int, role: int) -> int:

@@ -69,24 +69,31 @@ class PointCloud:
 class RigidTransform:
     """A 6-DoF pose: proper rotation plus translation, p -> R p + t.
 
-    The constructor rejects rotations that are not orthonormal with
-    determinant +1 within ``ROTATION_TOL``.
+    The constructor raises :class:`InvalidInput` unless the rotation is
+    3x3, orthonormal with determinant +1 within ``ROTATION_TOL``, the
+    translation has 3 entries and every entry is finite.
     """
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.rotation, dtype=np.float64, copy=True)
-        t = np.array(self.translation, dtype=np.float64, copy=True).reshape(3)
+        try:
+            r = np.array(self.rotation, dtype=np.float64, copy=True)
+            t = np.array(self.translation, dtype=np.float64, copy=True)
+        except (TypeError, ValueError) as exc:  # e.g. ragged or non-numeric
+            raise InvalidInput(f"transform entries must be numbers: {exc}") from None
         if r.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {r.shape}")
+            raise InvalidInput(f"rotation must be 3x3, got {r.shape}")
+        if t.size != 3:
+            raise InvalidInput(f"translation must have 3 entries, got {t.shape}")
+        t = t.reshape(3)
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
-            raise ValueError("transform entries must be finite")
+            raise InvalidInput("transform entries must be finite")
         if np.linalg.norm(r.T @ r - np.eye(3)) > ROTATION_TOL:
-            raise ValueError("rotation is not orthonormal within tolerance")
+            raise InvalidInput("rotation is not orthonormal within tolerance")
         if abs(np.linalg.det(r) - 1.0) > ROTATION_TOL:
-            raise ValueError("rotation determinant is not +1 within tolerance")
+            raise InvalidInput("rotation determinant is not +1 within tolerance")
         r.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)
@@ -128,7 +135,7 @@ def rotation_about_axis(axis, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=np.float64).reshape(3)
     norm = np.linalg.norm(axis)
     if norm == 0.0:
-        raise ValueError("rotation axis must be nonzero")
+        raise InvalidInput("rotation axis must be nonzero")
     x, y, z = axis / norm
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)

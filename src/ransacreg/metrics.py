@@ -182,7 +182,7 @@ class HypothesisScore:
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "kind", MetricKind(self.kind))
         if not np.isfinite(self.value):
-            raise ValueError(f"score must be finite, got {self.value}")
+            raise InvalidInput(f"score must be finite, got {self.value}")
 
 
 def _require_kind(spec: MetricSpec, *, cloud: bool) -> None:
@@ -315,7 +315,7 @@ def score_errors(spec: MetricSpec, errors) -> np.ndarray:
     if e.ndim != 1:
         e = e.reshape(-1)
     if e.size and (not np.all(np.isfinite(e)) or np.min(e) < 0.0):
-        raise ValueError("transformation errors must be finite and non-negative")
+        raise InvalidInput("transformation errors must be finite and non-negative")
     return _score_array(spec, e)
 
 
@@ -337,7 +337,7 @@ def score_correspondence(spec: MetricSpec, e: float) -> float:
     """
     e = float(e)
     if not np.isfinite(e) or e < 0.0:
-        raise ValueError(f"transformation error must be finite and >= 0, got {e}")
+        raise InvalidInput(f"transformation error must be finite and >= 0, got {e}")
     return float(score_errors(spec, np.array([e]))[0])
 
 

@@ -31,6 +31,15 @@ __all__ = ["NeighborIndex", "build_index"]
 _RADIUS_SLACK = 1e-9
 
 
+def _as_array(values, name: str) -> np.ndarray:
+    """`np.asarray(values)`; InvalidInput where numpy cannot make one array
+    of them (e.g. ragged nesting)."""
+    try:
+        return np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} must be a numeric array: {exc}") from None
+
+
 def _as_points(points, name: str = "points", *, one: bool = False
                ) -> np.ndarray:
     """The float64 (N, 3) points of a PointCloud, an (N, 3) array-like or
@@ -38,10 +47,7 @@ def _as_points(points, name: str = "points", *, one: bool = False
     non-numeric input, any other shape, a non-finite coordinate, or (with
     `one`) other than one point; N = 0 passes: the caller decides on empty.
     """
-    try:
-        pts = np.asarray(getattr(points, "points", points))
-    except (TypeError, ValueError) as exc:  # e.g. ragged nesting
-        raise InvalidInput(f"{name} must be a numeric array: {exc}") from None
+    pts = _as_array(getattr(points, "points", points), name)
     if pts.dtype.kind not in "biuf":
         raise InvalidInput(f"{name} must be numeric, got dtype {pts.dtype}")
     pts = pts.astype(np.float64, copy=False)

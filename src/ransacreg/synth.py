@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BadConfig, InvalidInput
 from .geom import PointCloud, RigidTransform, rotation_about_axis
 from .metrics import CorrespondenceSet
-from .spatial import _as_points, build_index
+from .spatial import _as_array, _as_points, build_index
 
 __all__ = [
     "CorrespondenceConfig",
@@ -110,7 +110,8 @@ class ScenePair:
 
     `gt_pairs` has shape (N, 2, 3); gt_pairs[j] = (p_s, p_t) where the
     ground-truth pose maps p_s onto p_t (exactly, when built noise-free).
-    Any other shape or a non-finite coordinate raises :class:`InvalidInput`.
+    Ragged or non-numeric pairs, any other shape or a non-finite coordinate
+    raise :class:`InvalidInput`.
     """
 
     source: PointCloud
@@ -134,8 +135,8 @@ class ScenePair:
 
 def _as_pairs(gt_pairs) -> np.ndarray:
     """Ground-truth pairs as a float64 (N, 2, 3) array; InvalidInput for
-    any other shape or for malformed points."""
-    pairs = np.asarray(gt_pairs)
+    ragged nesting, any other shape or malformed points."""
+    pairs = _as_array(gt_pairs, "gt_pairs")
     if pairs.ndim != 3 or pairs.shape[1:] != (2, 3):
         raise InvalidInput(
             f"gt_pairs must have shape (N, 2, 3), got {pairs.shape}")

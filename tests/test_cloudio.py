@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ransacreg import (
     CorrespondenceSet,
@@ -260,3 +265,284 @@ def test_transform_parse_errors(tmp_path):
     path.write_text("1 0 0 0\n0 1 0 nope\n0 0 1 0\n")
     with pytest.raises(ParseError, match="not a number"):
         parse_transform_file(path)
+
+
+# ------------------------------------- one-pass conversion vs per-token parse
+#
+# A frozen copy of the per-token parser that the one-pass conversion
+# replaced: every token through `float()` and `math.isfinite` as its line
+# is reached. The one-pass parser must give the same bits and, on a
+# malformed file, the same first error (message and line).
+
+
+def _ref_parse_float(token, path, lineno):
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"not a number: {token!r}", path, lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite coordinate: {token!r}", path, lineno)
+    return value
+
+
+def _ref_numeric_rows(lines, path, width=None, unit="values"):
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if width is not None and len(tokens) != width:
+            raise ParseError(
+                f"expected {width} {unit}, got {len(tokens)}", path, lineno)
+        rows.append([_ref_parse_float(t, path, lineno) for t in tokens])
+    return rows
+
+
+def _ref_ply_points(lines, path):
+    # Header: just enough for the well-formed headers used here.
+    elements = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        tokens = raw.split()
+        if tokens[:1] == ["element"]:
+            elements.append((tokens[1], int(tokens[2]), [], False))
+        elif tokens[:1] == ["property"] and tokens[1] != "list":
+            elements[-1][2].append(tokens[2])
+        elif tokens[:1] == ["end_header"]:
+            body_start = lineno
+            break
+    v_props = [e for e in elements if e[0] == "vertex"][0][2]
+    columns = [v_props.index(axis) for axis in ("x", "y", "z")]
+    # The per-token body loop.
+    points = []
+    lineno = body_start
+    line_iter = iter(range(body_start, len(lines)))
+    for name, count, props, _ in elements:
+        rows_read = 0
+        while rows_read < count:
+            try:
+                i = next(line_iter)
+            except StopIteration:
+                raise ParseError(
+                    f"file ends inside element {name!r} "
+                    f"({rows_read} of {count} rows)", path, lineno) from None
+            lineno = i + 1
+            tokens = lines[i].split()
+            if not tokens:
+                continue
+            if name == "vertex":
+                if len(tokens) != len(props):
+                    raise ParseError(
+                        f"expected {len(props)} values, got {len(tokens)}",
+                        path, lineno)
+                points.append([_ref_parse_float(tokens[c], path, lineno)
+                               for c in columns])
+            rows_read += 1
+    return points
+
+
+def _ref_parse(kind, path):
+    path = str(path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if kind == "xyz":
+        return np.array(_ref_numeric_rows(lines, path, 3, "coordinates"))
+    if kind == "corrs":
+        return np.array(_ref_numeric_rows(lines, path, 6))
+    return np.array(_ref_ply_points(lines, path))
+
+
+def _parse(kind, path):
+    if kind == "corrs":
+        corrs = parse_correspondence_file(path)
+        return np.hstack([corrs.sources, corrs.targets])
+    return parse_cloud_file(path).points
+
+
+_PLY_HEAD = ("ply\nformat ascii 1.0\ncomment one-pass check\n"
+             "element vertex {n}\nproperty float x\nproperty uchar label\n"
+             "property float y\nproperty float z\n"
+             "element face 2\nproperty list uchar int vertex_indices\n"
+             "end_header\n")
+_PLY_FACES = "3 0 1 2\n3 2 1 0\n"
+
+
+def _write(tmp_path, kind, rows, eol="\n"):
+    """A file of `kind` holding `rows`, lists of x y z (x y z) tokens; a
+    PLY vertex row also carries a non-number in its extra property."""
+    if kind == "ply":
+        body = [f"{r[0]} tag{i} {' '.join(r[1:])}" if len(r) == 3
+                else " ".join(r) for i, r in enumerate(rows)]
+        text = _PLY_HEAD.format(n=len(rows)) + "\n".join(body) + "\n"
+        text += _PLY_FACES
+        path = tmp_path / "cloud.ply"
+    else:
+        text = "\n".join(" ".join(r) for r in rows) + "\n"
+        path = tmp_path / ("cloud.xyz" if kind == "xyz" else "corrs.txt")
+    path.write_bytes(text.replace("\n", eol).encode("utf-8"))
+    return path
+
+
+def _rows(kind, tokens):
+    """Rows of 3 tokens (6 for correspondences) that put each of `tokens`
+    in every column."""
+    width = 6 if kind == "corrs" else 3
+    tokens = tokens * width
+    return [tokens[i:i + width] for i in range(0, len(tokens) - width + 1, width)]
+
+
+_ODD_TOKENS = ["+.5", "5.", "1e-400", "1_0", "٣", "-0.0", "0.1",
+               "-1.5e300", "7"]
+
+
+@pytest.mark.parametrize("kind", ["xyz", "ply", "corrs"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_one_pass_matches_per_token_parse(tmp_path, kind, eol):
+    path = _write(tmp_path, kind, _rows(kind, _ODD_TOKENS), eol)
+    want = _ref_parse(kind, path)
+    got = _parse(kind, path)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_one_pass_matches_with_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "cloud.xyz"
+    path.write_text("# header\n\n+.5 5. 1e-400 # trailing\n   \n"
+                    "1_0 ٣ -0.0#x\n\n")
+    want = _ref_parse("xyz", path)
+    got = parse_cloud_file(path).points
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got[1, 1] == 3.0  # ARABIC-INDIC DIGIT THREE
+
+
+def _two_errors(kind, first, second):
+    """Eight good rows with `first` at row 2 and `second` at row 5, each
+    ("value", token) or ("count", None)."""
+    rows = [["1.5", "2", "-3"] * (2 if kind == "corrs" else 1)] * 8
+    for at, (what, token) in ((1, first), (4, second)):
+        if what == "count":
+            rows[at] = rows[at][:-1]
+        else:
+            rows[at] = rows[at][:-1] + [token]
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["xyz", "ply", "corrs"])
+@pytest.mark.parametrize("first,second", [
+    (("value", "inf"), ("value", "apple")),
+    (("value", "apple"), ("value", "inf")),
+    (("value", "nan"), ("value", "1e400")),
+    (("value", "zebra"), ("count", None)),
+    (("count", None), ("value", "zebra")),
+    (("value", "-inf"), ("count", None)),
+])
+def test_first_error_matches_per_token_parse(tmp_path, kind, first, second):
+    path = _write(tmp_path, kind, _two_errors(kind, first, second))
+    with pytest.raises(ParseError) as want:
+        _ref_parse(kind, path)
+    with pytest.raises(ParseError) as got:
+        _parse(kind, path)
+    assert str(got.value) == str(want.value)
+    assert got.value.line == want.value.line
+    assert got.value.path == str(path)
+
+
+def test_bad_vertex_beats_a_ply_that_ends_early(tmp_path):
+    path = tmp_path / "cloud.ply"
+    path.write_text(_PLY_HEAD.format(n=3)
+                    + "1 a 2 3\n4 b oops 6\n7 c 8 9\n"
+                    + "3 0 1 2\n")  # one face of two: the file ends early
+    with pytest.raises(ParseError) as want:
+        _ref_parse("ply", path)
+    with pytest.raises(ParseError, match="not a number: 'oops'") as got:
+        parse_cloud_file(path)
+    assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
+    path.write_text(path.read_text().replace("oops", "5"))
+    with pytest.raises(ParseError, match="file ends inside element 'face'"):
+        parse_cloud_file(path)
+
+
+# ---------------------------------------------------- write/parse round trips
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_ROUND_TRIP = settings(derandomize=True, database=None, max_examples=60,
+                       deadline=None)
+
+
+def _points(max_rows=12):
+    return hnp.arrays(np.float64, st.tuples(st.integers(1, max_rows),
+                                            st.just(3)), elements=_FLOATS)
+
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+
+
+@_ROUND_TRIP
+@given(points=_points(), suffix=st.sampled_from([".xyz", ".ply"]))
+def test_cloud_round_trip_is_bit_exact(tmp_path_factory, points, suffix):
+    path = tmp_path_factory.mktemp("rt") / f"cloud{suffix}"
+    write_cloud_file(path, PointCloud(points))
+    _same_bits(parse_cloud_file(path).points, points)
+
+
+@st.composite
+def _decorated_ply(draw):
+    """A hand-written PLY: (text, points) with header comments, extra
+    vertex properties in any column order, and a list-face element."""
+    points = draw(_points())
+    n_extra = draw(st.integers(0, 3))
+    names = draw(st.permutations(["x", "y", "z"]
+                                 + [f"extra{k}" for k in range(n_extra)]))
+    n_faces = draw(st.integers(0, 3))
+    head = ["ply", "format ascii 1.0"]
+    head += [f"comment {w}" for w in draw(st.lists(
+        st.sampled_from(["scan", "made by hand", "x y z"]), max_size=2))]
+    head.append(f"element vertex {len(points)}")
+    head += [f"property {'double' if n in 'xyz' else 'uchar'} {n}"
+             for n in names]
+    if n_faces:
+        head += [f"element face {n_faces}",
+                 "property list uchar int vertex_indices"]
+    head.append("end_header")
+    body = []
+    for row in points:
+        value = dict(zip("xyz", row))
+        body.append(" ".join(repr(float(value[n])) if n in value
+                             else str(draw(st.integers(0, 255)))
+                             for n in names))
+    body += ["3 0 1 2"] * n_faces
+    return "\n".join(head + body) + "\n", points
+
+
+@_ROUND_TRIP
+@given(ply=_decorated_ply())
+def test_decorated_ply_round_trip_is_bit_exact(tmp_path_factory, ply):
+    text, points = ply
+    path = tmp_path_factory.mktemp("rt") / "cloud.ply"
+    path.write_text(text)
+    _same_bits(parse_cloud_file(path).points, points)
+
+
+@_ROUND_TRIP
+@given(points=_points(), shift=_points())
+def test_correspondence_round_trip_is_bit_exact(tmp_path_factory, points,
+                                                shift):
+    targets = np.resize(shift, points.shape)
+    path = tmp_path_factory.mktemp("rt") / "corrs.txt"
+    write_correspondence_file(path, CorrespondenceSet(points, targets))
+    back = parse_correspondence_file(path)
+    _same_bits(back.sources, points)
+    _same_bits(back.targets, targets)
+
+
+@_ROUND_TRIP
+@given(seed=st.integers(0, 2**32 - 1),
+       translation=hnp.arrays(np.float64, 3, elements=_FLOATS))
+def test_transform_round_trip_is_bit_exact(tmp_path_factory, seed, translation):
+    rotation = random_rigid(np.random.default_rng(seed)).rotation
+    path = tmp_path_factory.mktemp("rt") / "pose.txt"
+    write_transform_file(path, RigidTransform(rotation, translation))
+    back = parse_transform_file(path)
+    _same_bits(back.rotation, rotation)
+    _same_bits(back.translation, translation)

@@ -80,9 +80,15 @@ def test_rmse_validation():
         rmse(ident, np.zeros((4, 3)))
     with pytest.raises(InvalidInput):
         rmse(ident, np.zeros((4, 3)))
+    scene = generate_scene(SceneConfig(n_points=20, seed=1))
+    ragged = [[[0, 0, 0], [1, 1, 1]], [[0, 0], [1, 1, 1]]]
+    with pytest.raises(InvalidInput):
+        rmse(ident, ragged)
+    with pytest.raises(InvalidInput):
+        ScenePair(source=scene.source, target=scene.target, gt=scene.gt,
+                  gt_pairs=ragged)
     # A non-finite pair is malformed input, not an RMSE of nan that
     # is_correct would silently grade as a miss.
-    scene = generate_scene(SceneConfig(n_points=20, seed=1))
     for bad in (np.nan, np.inf, -np.inf):
         pairs = np.array(scene.gt_pairs)
         pairs[3, 1, 2] = bad

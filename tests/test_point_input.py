@@ -2,7 +2,8 @@
 
 Every public entry point that takes points raises InvalidInput, which is
 also a ValueError and a RansacRegError, for a malformed point array; any
-finite (N, 3) array or (3,) point is accepted unchanged.
+finite (N, 3) array or (3,) point is accepted unchanged. Transforms,
+errors, scores and thresholds out of their domain raise the same error.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ransacreg import (Correspondence, CorrespondenceSet, InvalidInput,
-                       MetricKind, MetricSpec, PointCloud, RansacConfig,
-                       RansacRegError, RigidTransform, build_index,
-                       cloud_resolution, estimate_rigid_transform,
-                       evaluate_hypothesis_cloud, run_ransac)
+from ransacreg import (Correspondence, CorrespondenceSet, ExperimentRow,
+                       HypothesisScore, InvalidInput, MetricKind, MetricSpec,
+                       PointCloud, RansacConfig, RansacRegError,
+                       RigidTransform, build_index, cloud_resolution,
+                       estimate_rigid_transform, evaluate_hypothesis_cloud,
+                       is_correct, rotation_about_axis, run_ransac,
+                       score_correspondence, score_errors)
 
 _rng = np.random.default_rng(71)
 GOOD = _rng.normal(size=(5, 3))
@@ -25,6 +28,7 @@ INDEX = build_index(_rng.normal(size=(12, 3)))
 CORRS = CorrespondenceSet(GOOD, GOOD + 1.0)
 IDENT = RigidTransform.identity()
 PC_DIST = MetricSpec(kind=MetricKind.PC_DIST, t=1.0)
+MAE = MetricSpec(kind=MetricKind.MAE, t=1.0)
 
 # Entry point -> (call with the points under test, a well-formed input).
 ARRAY_ENTRIES = {
@@ -72,10 +76,40 @@ def _malformed(good: np.ndarray) -> dict:
     return cases
 
 
+def _row(accuracy):
+    return ExperimentRow(metric="mae", sweep_axis="t", sweep_value=7.5,
+                         trials=4, accuracy=accuracy, mean_rmse_pr=1.0,
+                         mean_eval_time_s=0.0, index_build_time_s=0.0)
+
+
+# Other values out of their domain: id -> (call, malformed input).
+OTHER_CASES = {
+    "RigidTransform-inf translation":
+        (lambda b: RigidTransform(np.eye(3), b), [0.0, np.inf, 0.0]),
+    "RigidTransform-(4,) translation":
+        (lambda b: RigidTransform(np.eye(3), b), np.zeros(4)),
+    "RigidTransform-ragged rotation":
+        (lambda b: RigidTransform(b, np.zeros(3)), [[1, 0, 0], [0, 1], [0, 0, 1]]),
+    "RigidTransform-reflection":
+        (lambda b: RigidTransform(b, np.zeros(3)), np.diag([1.0, 1.0, -1.0])),
+    "rotation_about_axis-zero axis":
+        (lambda b: rotation_about_axis(b, 0.5), np.zeros(3)),
+    "score_errors-negative": (lambda b: score_errors(MAE, b), [0.5, -1.0]),
+    "score_errors-nan": (lambda b: score_errors(MAE, b), [0.5, np.nan]),
+    "score_correspondence-inf":
+        (lambda b: score_correspondence(MAE, b), np.inf),
+    "HypothesisScore-nan": (lambda b: HypothesisScore(b, MetricKind.MAE), np.nan),
+    "is_correct-zero threshold": (lambda b: is_correct(1.0, b, 1.0), 0.0),
+    "is_correct-negative resolution": (lambda b: is_correct(1.0, 2.5, b), -1.0),
+    "ExperimentRow-accuracy above 1": (_row, 1.5),
+}
+
 CASES = [pytest.param(call, bad, id=f"{entry}-{case}")
          for entries, good in ((ARRAY_ENTRIES, GOOD), (POINT_ENTRIES, GOOD[0]))
          for entry, call in entries.items()
          for case, bad in _malformed(good).items()]
+CASES += [pytest.param(call, bad, id=case)
+          for case, (call, bad) in OTHER_CASES.items()]
 
 
 @pytest.mark.parametrize("call,bad", CASES)
