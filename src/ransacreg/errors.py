@@ -11,6 +11,15 @@ class RansacRegError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInput(RansacRegError, ValueError):
+    """An operation received malformed input: points that are not numeric,
+    not shaped (N, 3) or (3,), or not finite; a transform that is not a
+    finite proper rigid motion; values outside their domain (a negative
+    error, a non-numeric or non-finite score, a non-finite threshold, an
+    accuracy outside [0, 1]); or degenerate benchmark input (e.g. no
+    hypotheses). Also a ValueError, like numpy's bad-array errors."""
+
+
 # --- geometry ---------------------------------------------------------------
 
 class InsufficientPairs(RansacRegError):
@@ -37,9 +46,9 @@ class KTooLarge(RansacRegError):
 
 # --- metrics ----------------------------------------------------------------
 
-class InvalidSpec(RansacRegError):
+class InvalidSpec(InvalidInput):
     """A metric was used through the wrong evaluation entry point, or was
-    constructed with out-of-range parameters."""
+    constructed with an unknown kind or out-of-range parameters."""
 
 
 # --- RANSAC -----------------------------------------------------------------
@@ -52,7 +61,7 @@ class PersistentDegeneracy(RansacRegError):
     """Every resampling attempt produced a degenerate minimal sample."""
 
 
-class MissingClouds(RansacRegError):
+class MissingClouds(InvalidInput):
     """A whole-cloud metric was configured but no clouds were provided."""
 
 
@@ -66,15 +75,6 @@ class BadConfig(RansacRegError):
 
 class EmptyGroundTruth(RansacRegError):
     """RMSE was requested against an empty ground-truth pair set."""
-
-
-class InvalidInput(RansacRegError, ValueError):
-    """An operation received malformed input: points that are not numeric,
-    not shaped (N, 3) or (3,), or not finite; a transform that is not a
-    finite proper rigid motion; values outside their domain (a negative
-    error, a non-finite score, an accuracy outside [0, 1]); or degenerate
-    benchmark input (e.g. no hypotheses). Also a ValueError, like numpy's
-    bad-array errors."""
 
 
 # --- file IO ----------------------------------------------------------------

@@ -24,13 +24,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .errors import BadConfig, EmptyGroundTruth, InvalidInput, MissingClouds
+from .errors import BadConfig, EmptyGroundTruth, InvalidInput
 from .geom import PointCloud, RigidTransform
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, MetricKind, MetricSpec,
-                      _pair_errors, evaluate_hypothesis,
+                      _as_kind, _pair_errors, evaluate_hypothesis,
                       evaluate_hypothesis_cloud)
 from .ransac import _sample_hypotheses, _score_hypotheses
 from .spatial import NeighborIndex, _as_array, build_index
@@ -78,10 +79,17 @@ def rmse(est: RigidTransform, gt_pairs) -> float:
     return float(np.mean(errors))
 
 
+def _positive(value: float) -> bool:
+    """True iff value is a finite number above 0 (False for NaN)."""
+    return math.isfinite(value) and value > 0.0
+
+
 def is_correct(rmse_value: float, d_rmse_pr: float, pr: float) -> bool:
-    """True iff rmse_value < d_rmse_pr * pr (strict)."""
-    if d_rmse_pr <= 0.0 or pr <= 0.0:
-        raise InvalidInput("thresholds must be positive")
+    """True iff rmse_value < d_rmse_pr * pr (strict); InvalidInput unless
+    both thresholds are finite and positive."""
+    if not (_positive(d_rmse_pr) and _positive(pr)):
+        raise InvalidInput(
+            f"thresholds must be finite and positive, got {d_rmse_pr}, {pr}")
     return rmse_value < d_rmse_pr * pr
 
 
@@ -99,13 +107,14 @@ class MetricPlan:
     t_overlap_pr: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", MetricKind(self.kind))
-        if self.t_pr <= 0.0:
-            raise BadConfig(f"t_pr must be positive, got {self.t_pr}")
+        object.__setattr__(self, "kind", _as_kind(self.kind))
+        if not _positive(self.t_pr):
+            raise BadConfig(f"t_pr must be finite and positive, got {self.t_pr}")
         if not (0.0 < self.m < 1.0):
             raise BadConfig(f"m must lie in (0, 1), got {self.m}")
-        if self.t_overlap_pr <= 0.0:
-            raise BadConfig(f"t_overlap_pr must be positive, got {self.t_overlap_pr}")
+        if not _positive(self.t_overlap_pr):
+            raise BadConfig(
+                f"t_overlap_pr must be finite and positive, got {self.t_overlap_pr}")
 
     def bind(self, pr: float, t_pr: float | None = None) -> MetricSpec:
         t_eff = self.t_pr if t_pr is None else t_pr
@@ -137,10 +146,14 @@ class EvalConfig:
                 f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
         if not values:
             raise BadConfig("sweep_values must be non-empty")
+        if not all(math.isfinite(v) for v in values):
+            raise BadConfig(f"sweep_values must be finite, got {values}")
+        if self.sweep_axis == "d_rmse" and values[0] <= 0.0:
+            raise BadConfig(f"d_rmse sweep values must be positive, got {values}")
         if self.trials < 1:
             raise BadConfig("trials must be >= 1")
-        if self.d_rmse_pr <= 0.0:
-            raise BadConfig("d_rmse_pr must be positive")
+        if not _positive(self.d_rmse_pr):
+            raise BadConfig(f"d_rmse_pr must be finite and positive, got {self.d_rmse_pr}")
         if self.iterations < 1:
             raise BadConfig("iterations must be >= 1")
         if not (0.0 < self.hole_fraction < 1.0):
@@ -223,7 +236,6 @@ def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
     """
     axis = cfg.sweep_axis
     values = cfg.sweep_values
-    n_metrics = len(cfg.metrics)
     n_values = len(values)
     needs_cloud = any(p.kind in CLOUD_KINDS for p in cfg.metrics)
     budgets = [int(round(v)) if axis == "iterations" else cfg.iterations
@@ -237,10 +249,10 @@ def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
     else:
         groups = [list(range(n_values))]
 
-    correct = np.zeros((n_metrics, n_values), dtype=np.int64)
-    rmse_pr_sum = np.zeros((n_metrics, n_values))
-    eval_s_sum = np.zeros((n_metrics, n_values))
-    build_s_sum = np.zeros((n_metrics, n_values))
+    # One outcome per trial for each (metric, value) cell: (RMSE, pr, eval
+    # seconds, index-build seconds).
+    outcomes = {(mi, vi): [] for mi in range(len(cfg.metrics))
+                for vi in range(n_values)}
 
     for trial in range(cfg.trials):
         clean = generate_scene(replace(
@@ -279,29 +291,32 @@ def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
                 if best not in rmse_of:
                     rmse_of[best] = rmse(RigidTransform(
                         rotations[best], translations[best]), clean.gt_pairs)
-                rm = rmse_of[best]
-                d_rmse_pr = values[vi] if axis == "d_rmse" else cfg.d_rmse_pr
-                if is_correct(rm, d_rmse_pr, pr):
-                    correct[mi, vi] += 1
-                    rmse_pr_sum[mi, vi] += rm / pr
-                eval_s_sum[mi, vi] += seconds[k] * (n_hyp / budget)
-                if spec.kind in CLOUD_KINDS:
-                    build_s_sum[mi, vi] += build_s
+                outcomes[mi, vi].append((
+                    rmse_of[best], pr, seconds[k] * (n_hyp / budget),
+                    build_s if spec.kind in CLOUD_KINDS else 0.0))
 
     rows = []
-    for mi, plan in enumerate(cfg.metrics):
-        for vi, value in enumerate(values):
-            n_ok = int(correct[mi, vi])
-            rows.append(ExperimentRow(
-                metric=plan.kind.value,
-                sweep_axis=axis,
-                sweep_value=value,
-                trials=cfg.trials,
-                accuracy=n_ok / cfg.trials,
-                mean_rmse_pr=rmse_pr_sum[mi, vi] / n_ok if n_ok else math.nan,
-                mean_eval_time_s=eval_s_sum[mi, vi] / cfg.trials,
-                index_build_time_s=build_s_sum[mi, vi] / cfg.trials,
-            ))
+    for (mi, vi), cell in outcomes.items():
+        value = values[vi]
+        d_rmse_pr = value if axis == "d_rmse" else cfg.d_rmse_pr
+        # Plain sums in trial order, so every mean replays bit-exactly.
+        n_ok, rmse_pr_sum, eval_s_sum, build_s_sum = 0, 0.0, 0.0, 0.0
+        for rm, pr, eval_s, build_s in cell:
+            if is_correct(rm, d_rmse_pr, pr):
+                n_ok += 1
+                rmse_pr_sum += rm / pr
+            eval_s_sum += eval_s
+            build_s_sum += build_s
+        rows.append(ExperimentRow(
+            metric=cfg.metrics[mi].kind.value,
+            sweep_axis=axis,
+            sweep_value=value,
+            trials=cfg.trials,
+            accuracy=n_ok / cfg.trials,
+            mean_rmse_pr=rmse_pr_sum / n_ok if n_ok else math.nan,
+            mean_eval_time_s=eval_s_sum / cfg.trials,
+            index_build_time_s=build_s_sum / cfg.trials,
+        ))
     return rows
 
 
@@ -313,23 +328,18 @@ def time_metric_evaluation(spec: MetricSpec, transforms,
 
     Times only the scoring calls over the given transforms (at least 100
     recommended for stable numbers); sampling, solving, and index build
-    are excluded. Raises :class:`InvalidInput` with no hypotheses.
+    are excluded. Raises :class:`InvalidInput` with no hypotheses and
+    whatever the scoring function raises for missing or malformed input.
     """
     transforms = list(transforms)
     if not transforms:
         raise InvalidInput("need at least one hypothesis to time")
     if spec.kind in CLOUD_KINDS:
-        if source is None or target_index is None:
-            raise MissingClouds(f"{spec.kind} needs source cloud and target index")
-        t0 = time.perf_counter()
-        for transform in transforms:
-            evaluate_hypothesis_cloud(spec, transform, source, target_index)
-        elapsed = time.perf_counter() - t0
+        evaluate = partial(evaluate_hypothesis_cloud, spec, source=source,
+                           target_index=target_index)
     else:
-        if corrs is None:
-            raise InvalidInput(f"{spec.kind} needs a correspondence set")
-        t0 = time.perf_counter()
-        for transform in transforms:
-            evaluate_hypothesis(spec, transform, corrs)
-        elapsed = time.perf_counter() - t0
-    return elapsed / len(transforms)
+        evaluate = partial(evaluate_hypothesis, spec, corrs=corrs)
+    t0 = time.perf_counter()
+    for transform in transforms:
+        evaluate(transform)
+    return (time.perf_counter() - t0) / len(transforms)

@@ -131,9 +131,16 @@ class RigidTransform:
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a right-handed rotation of `angle` radians
-    about `axis` (Rodrigues formula)."""
-    axis = np.asarray(axis, dtype=np.float64).reshape(3)
+    about `axis` (Rodrigues formula). InvalidInput unless `axis` is three
+    finite numbers, not all zero, and `angle` is finite."""
+    try:
+        axis = np.asarray(axis, dtype=np.float64).reshape(3)
+        angle = float(angle)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"rotation axis and angle must be numbers: {exc}") from None
     norm = np.linalg.norm(axis)
+    if not (np.isfinite(norm) and math.isfinite(angle)):
+        raise InvalidInput("rotation axis and angle must be finite")
     if norm == 0.0:
         raise InvalidInput("rotation axis must be nonzero")
     x, y, z = axis / norm

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyCloud, InvalidInput, InvalidSpec
+from .errors import EmptyCloud, InvalidInput, InvalidSpec, MissingClouds
 from .geom import RigidTransform
 from .spatial import NeighborIndex, _as_points
 
@@ -60,6 +59,14 @@ class MetricKind(str, Enum):
 
     def __str__(self) -> str:  # "mae", not "MetricKind.MAE"
         return self.value
+
+
+def _as_kind(kind) -> MetricKind:
+    """`MetricKind(kind)`; InvalidSpec for an unknown kind."""
+    try:
+        return MetricKind(kind)
+    except ValueError:
+        raise InvalidSpec(f"unknown metric kind {kind!r}") from None
 
 
 # The six shaped residual scores introduced on top of the four baselines.
@@ -155,7 +162,7 @@ class MetricSpec:
     t_overlap: float | None = field(default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", MetricKind(self.kind))
+        object.__setattr__(self, "kind", _as_kind(self.kind))
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "m", float(self.m))
         object.__setattr__(self, "pr", float(self.pr))
@@ -179,8 +186,11 @@ class HypothesisScore:
     kind: MetricKind
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "kind", MetricKind(self.kind))
+        try:
+            object.__setattr__(self, "value", float(self.value))
+        except (TypeError, ValueError):
+            raise InvalidInput(f"score must be a number, got {self.value!r}") from None
+        object.__setattr__(self, "kind", _as_kind(self.kind))
         if not np.isfinite(self.value):
             raise InvalidInput(f"score must be finite, got {self.value}")
 
@@ -311,7 +321,10 @@ def score_errors(spec: MetricSpec, errors) -> np.ndarray:
     :func:`score_correspondence` for the per-kind formulas.
     """
     _require_kind(spec, cloud=False)
-    e = np.asarray(errors, dtype=np.float64)
+    try:
+        e = np.asarray(errors, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"transformation errors must be numbers: {exc}") from None
     if e.ndim != 1:
         e = e.reshape(-1)
     if e.size and (not np.all(np.isfinite(e)) or np.min(e) < 0.0):
@@ -339,14 +352,6 @@ def score_correspondence(spec: MetricSpec, e: float) -> float:
     if not np.isfinite(e) or e < 0.0:
         raise InvalidInput(f"transformation error must be finite and >= 0, got {e}")
     return float(score_errors(spec, np.array([e]))[0])
-
-
-def _corr_value(spec: MetricSpec, rotation: np.ndarray, translation: np.ndarray,
-                sources: np.ndarray, targets: np.ndarray) -> float:
-    # Shared kernel: the RANSAC loop scores raw (R, t) pairs through this
-    # same code path, so replayed evaluations are bit-identical.
-    return float(np.sum(score_errors(
-        spec, _pair_errors(rotation, translation, sources, targets))))
 
 
 # Cap on hypotheses x correspondences elements per batch chunk.
@@ -387,22 +392,6 @@ def _score_pass(specs, h: int, blocks, reduce) -> tuple[np.ndarray, np.ndarray]:
     return values, shared_s + own_s
 
 
-def _prefetched(items):
-    """Yield from `items`, advancing it one step ahead on a helper thread.
-
-    An exception raised by a step comes out of the matching ``next``.
-    Closing the generator waits for the step in flight, so the helper
-    thread never outlives the iteration.
-    """
-    it = iter(items)
-    done = object()
-    with ThreadPoolExecutor(1) as pool:
-        pending = pool.submit(next, it, done)
-        while (item := pending.result()) is not done:
-            pending = pool.submit(next, it, done)
-            yield item
-
-
 def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
                        sources: np.ndarray, targets: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +408,7 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     not reducing, while the calling thread extracts candidates and runs
     every reduction in chunk order; so the shared-pass seconds count only
     the kernel time that the reductions did not overlap. Element-for-element
-    identical to calling :func:`_corr_value` per hypothesis and spec: errors
+    identical to :func:`evaluate_hypothesis` per hypothesis and spec: errors
     come from the batch-size-independent :func:`_errors_batch` kernel, and
     each row is summed with every score at its own position and 0
     elsewhere, exactly like a standalone 1-D sum.
@@ -441,19 +430,6 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     results = np.empty((2, rows, n))
     scratch = np.empty((2, rows, n))
 
-    def errors():
-        for i, lo in enumerate(range(0, h, chunk)):
-            r = min(chunk, h - lo)
-            yield lo, _errors_batch(
-                rotations[lo:lo + r], translations[lo:lo + r], sources,
-                targets, out=(results[i % 2, :r], scratch[0, :r],
-                              scratch[1, :r]))
-
-    def blocks(chunks):
-        for lo, e in chunks:
-            flat = np.flatnonzero(e < t_max)
-            yield slice(lo, lo + chunk), (e, flat, e.reshape(-1)[flat])
-
     def reduce(spec, block):
         e, flat, ce = block
         if spec.kind not in _ZERO_OUTLIER_KINDS:
@@ -467,8 +443,30 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
         sink[idx] = 0.0
         return total
 
-    with closing(_prefetched(errors())) as chunks:
-        return _score_pass(specs, h, blocks(chunks), reduce)
+    # Only the kernel runs on the helper, into the buffers above, so it
+    # allocates nothing there. Candidate extraction and the reductions stay
+    # on this thread, and so does the whole cloud pass: running its chunks
+    # on a helper raised the `cloud-holes` benchmark's peak RSS by 0.6-1.5
+    # MB (2-core Xeon). Leaving the `with` block waits for the kernel in
+    # flight, also when a step raises.
+    with ThreadPoolExecutor(1) as pool:
+        def kernel(lo):
+            r = min(chunk, h - lo)
+            return pool.submit(
+                _errors_batch, rotations[lo:lo + r], translations[lo:lo + r],
+                sources, targets, out=(results[lo // chunk % 2, :r],
+                                       scratch[0, :r], scratch[1, :r]))
+
+        def blocks():
+            pending = kernel(0)
+            for lo in range(0, h, chunk):
+                e = pending.result()
+                if lo + chunk < h:  # the next chunk, while this one is reduced
+                    pending = kernel(lo + chunk)
+                flat = np.flatnonzero(e < t_max)
+                yield slice(lo, lo + chunk), (e, flat, e.reshape(-1)[flat])
+
+        return _score_pass(specs, h, blocks(), reduce)
 
 
 def _cloud_points(source) -> np.ndarray:
@@ -530,10 +528,17 @@ def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
 
 def evaluate_hypothesis(spec: MetricSpec, transform: RigidTransform,
                         corrs: CorrespondenceSet) -> HypothesisScore:
-    """Total score S(T) = sum of per-correspondence scores; empty set -> 0."""
-    value = _corr_value(spec, transform.rotation, transform.translation,
-                        corrs.sources, corrs.targets)
-    return HypothesisScore(value, spec.kind)
+    """Total score S(T) = sum of per-correspondence scores; empty set -> 0.
+
+    The RANSAC loop scores through :func:`_corr_values_batch`, which gives
+    the same bits. InvalidInput unless `corrs` is a CorrespondenceSet.
+    """
+    if not isinstance(corrs, CorrespondenceSet):
+        raise InvalidInput(f"{spec.kind} needs a CorrespondenceSet, "
+                           f"got {type(corrs).__name__}")
+    errors = _pair_errors(transform.rotation, transform.translation,
+                          corrs.sources, corrs.targets)
+    return HypothesisScore(np.sum(score_errors(spec, errors)), spec.kind)
 
 
 def evaluate_hypothesis_cloud(spec: MetricSpec, transform: RigidTransform,
@@ -544,8 +549,11 @@ def evaluate_hypothesis_cloud(spec: MetricSpec, transform: RigidTransform,
     pc-dist: negated mean distance from each transformed source point to
     its nearest target point (0 is perfect). overlap-count: number of
     transformed source points strictly within t_overlap of the target.
+    MissingClouds when `source` or `target_index` is None.
     """
     _require_kind(spec, cloud=True)
+    if source is None or target_index is None:
+        raise MissingClouds(f"{spec.kind} needs source cloud and target index")
     dists = _cloud_distances(transform.rotation[np.newaxis],
                              transform.translation[np.newaxis],
                              _cloud_points(source), target_index)

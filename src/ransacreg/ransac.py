@@ -157,17 +157,13 @@ def _score_hypotheses(rotations: np.ndarray, translations: np.ndarray, specs,
 
     Returns (values, seconds): values[k, i] is specs[k]'s score of
     hypothesis i, and seconds[k] the time the calling thread spent in the
-    shared error (or nearest-neighbour) pass plus spec k's own reductions.
-    Correspondence specs share one chunked error pass, which also extracts
-    the errors below the largest threshold of the kinds whose outliers
-    score 0, so those specs touch only their own inliers. A helper thread
-    computes each chunk's errors while the previous chunk is reduced, so
-    the shared part counts only the kernel time that was not overlapped;
-    see :func:`~ransacreg.metrics._corr_values_batch`. Cloud specs share one
-    threaded nearest-neighbour query per chunk of hypotheses and need
-    `source` and `target_index`; MissingClouds, EmptyCloud or InvalidInput
-    is raised before any scoring when they are absent, the source is empty
-    or its points are malformed.
+    shared pass plus spec k's own reductions. Correspondence specs share
+    one error pass (:func:`~ransacreg.metrics._corr_values_batch`), cloud
+    specs one nearest-neighbour pass
+    (:func:`~ransacreg.metrics._cloud_values_batch`), which needs `source`
+    and `target_index`; MissingClouds, EmptyCloud or InvalidInput is raised
+    before any scoring when they are absent, the source is empty or its
+    points are malformed.
     """
     values = np.empty((len(specs), rotations.shape[0]))
     seconds = np.empty(len(specs))

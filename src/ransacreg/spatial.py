@@ -119,7 +119,9 @@ class NeighborIndex:
         """For each indexed point, distance to its nearest *other* point.
 
         Distances are recomputed in numpy against the neighbor the tree
-        reports, so they match a brute-force scan. Needs >= 2 points. Like
+        reports, so they match a brute-force scan. Needs >= 2 points; raises
+        :class:`InvalidInput` when a point's nearest distance overflows
+        float64 (the tree then finds no neighbor). Like
         :meth:`nearest_distances`, the query uses every CPU core and its
         result does not depend on the thread count.
         """
@@ -127,6 +129,8 @@ class NeighborIndex:
             raise EmptyCloud("need at least 2 points for neighbor distances")
         _, idx = self._tree.query(self.points, k=2, workers=-1)
         other = idx[:, 1]
+        if np.any(other == self.point_count):
+            raise InvalidInput("point distances overflow float64")
         d = self.points - self.points[other]
         return np.sqrt(np.einsum("ij,ij->i", d, d))
 

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ransacreg.cli import CSV_HEADER, _metric_list, _values_spec, main
 
@@ -216,6 +220,13 @@ def test_bench_missing_required_flag_is_usage_error(capsys, tmp_path):
     assert code == 1
 
 
+def test_bench_non_finite_threshold_is_data_error(capsys, tmp_path):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, *bench_args(out_path), "--d-rmse", "nan")
+    assert code == 2
+    assert err.startswith("error:") and not out_path.exists()
+
+
 def test_bench_library_config_error_is_data_error(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "bench", "--metrics", "mae", "--sweep", "t",
@@ -248,3 +259,123 @@ def test_info_single_point_has_no_resolution(capsys, tmp_path):
     code, out, err = run_cli(capsys, "info", str(path))
     assert code == 0
     assert "resolution undefined (needs >= 2 points)" in out
+
+
+# ------------------------------------------------- exit codes on bad input
+
+
+def exit_code(*argv) -> int:
+    """main's exit code: 0 success, 1 usage error (argparse's usage line), 2
+    data or config error (one "error:" line). An exception escaping main
+    fails the test."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(list(argv))
+    err = err.getvalue()
+    assert code in (0, 1, 2), err
+    if code == 1:
+        assert "usage:" in err
+    if code == 2:
+        assert err.startswith("error:")
+    return code
+
+
+@pytest.fixture(scope="module")
+def scene_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("scene")
+    paths = {name: str(tmp / f"{name}.xyz") for name in ("src", "tgt")}
+    assert main(["synth", "--out-source", paths["src"], "--out-target",
+                 paths["tgt"], "--seed", "3", "--n-points", "2000"]) == 0
+    return paths
+
+
+_NUMBER = st.floats(-1e3, 1e3).map(repr)
+_ODD_NUMBER = st.sampled_from(["1_0", "+.5", "5.", "1e-400", "1e308", "-1e308"])
+_BAD_TOKEN = st.sampled_from(["nan", "inf", "0x10", "x", "1,5", "--1"])
+
+
+@st.composite
+def _rows(draw, width, min_rows=0):
+    """Text rows of `width` numbers; in half the files one row is changed:
+    an odd but valid number, a bad token, a token too few or too many, a
+    trailing comment, or a comment or blank line put before it."""
+    rows = draw(st.lists(st.lists(_NUMBER, min_size=width, max_size=width),
+                         min_size=min_rows, max_size=8))
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        change = draw(st.sampled_from(
+            ["odd", "bad", "short", "long", "trailing", "comment", "blank"]))
+        if change in ("odd", "bad"):
+            rows[i][draw(st.integers(0, width - 1))] = draw(
+                _ODD_NUMBER if change == "odd" else _BAD_TOKEN)
+        elif change == "short":
+            rows[i].pop()
+        elif change == "long":
+            rows[i].append("1")
+        elif change == "trailing":
+            rows[i].append("# note")
+        else:
+            rows.insert(i, ["# note"] if change == "comment" else [])
+    return [" ".join(row) for row in rows]
+
+
+def _ply_header(count: int, props=("x", "y", "z"), fmt="ascii") -> str:
+    return "".join(["ply\n", f"format {fmt} 1.0\n", f"element vertex {count}\n",
+                    *(f"property float {p}\n" for p in props), "end_header\n"])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(rows=_rows(3), header=st.sampled_from(
+           ["none", "ply", "ply-count", "ply-binary", "ply-no-z"]),
+       suffix=st.sampled_from([".xyz", ".ply", ".ply", ".pcd"]))
+def test_malformed_cloud_files_exit_0_or_2(tmp_path_factory, rows, header,
+                                            suffix):
+    n = len(rows)
+    text = {"none": "", "ply": _ply_header(n), "ply-count": _ply_header(n + 1),
+            "ply-binary": _ply_header(n, fmt="binary_little_endian"),
+            "ply-no-z": _ply_header(n, props=("x", "y"))}[header]
+    path = tmp_path_factory.mktemp("cloud") / f"cloud{suffix}"
+    path.write_text(text + "\n".join(rows) + "\n", encoding="utf-8")
+    assert exit_code("info", str(path)) in (0, 2)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(rows=_rows(6, min_rows=3))
+def test_malformed_correspondence_files_exit_0_or_2(tmp_path_factory,
+                                                    scene_files, rows):
+    path = tmp_path_factory.mktemp("corrs") / "corrs.txt"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert exit_code("register", scene_files["src"], scene_files["tgt"],
+                     "--corrs", str(path), "--iterations", "5") in (0, 2)
+
+
+_VALUES = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0", "0.5", "1",
+                           "3", "1e400", "abc", "", "1:2:0", "2:1:1",
+                           "0:1:0.5", "1,nan", "mae,nope", "holes", "t",
+                           "pc-dist", "ply-ascii", "--trials"])
+_BENCH_FLAGS = ("--metrics", "--sweep", "--values", "--trials",
+                "--iterations", "--seed", "--d-rmse", "--hole-fraction", "--t",
+                "--m", "--t-overlap", "--n-points", "--diameter", "--angle",
+                "--translation", "--n-corrs", "--inlier-ratio", "--sigma",
+                "--bogus")
+_REGISTER_FLAGS = ("--metric", "--format", "--iterations", "--seed", "--t",
+                   "--m", "--t-overlap", "--corrs", "--gt", "--bogus")
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(flag=st.sampled_from(_BENCH_FLAGS), value=_VALUES)
+def test_bench_flag_values_exit_0_1_or_2(tmp_path_factory, flag, value):
+    out_path = tmp_path_factory.mktemp("bench") / "x.csv"
+    # The flag under test comes last, so it overrides the tiny defaults.
+    base = ["bench", "--metrics", "mae,overlap-count", "--sweep", "t",
+            "--values", "6,9", "--out", str(out_path), "--trials", "1",
+            "--iterations", "5", "--n-points", "2000", "--n-corrs", "40"]
+    code = exit_code(*base, flag, value)
+    assert out_path.exists() == (code == 0)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(flag=st.sampled_from(_REGISTER_FLAGS), value=_VALUES)
+def test_register_flag_values_exit_0_1_or_2(scene_files, flag, value):
+    exit_code("register", scene_files["src"], scene_files["tgt"],
+              "--iterations", "5", flag, value)

@@ -107,6 +107,12 @@ def test_is_correct_strict_boundary():
         is_correct(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         is_correct(1.0, 2.5, -1.0)
+    # A NaN threshold compares False both ways; it must not grade a miss.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInput):
+            is_correct(1.0, bad, 1.0)
+        with pytest.raises(InvalidInput):
+            is_correct(1.0, 2.5, bad)
 
 
 # ------------------------------------------------------------- MetricPlan
@@ -134,6 +140,13 @@ def test_metric_plan_validation():
         MetricPlan(kind="overlap-count", t_overlap_pr=-1.0)
     with pytest.raises(ValueError):
         MetricPlan(kind="nope")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(BadConfig):
+            MetricPlan(kind="mae", t_pr=bad)
+        with pytest.raises(BadConfig):
+            MetricPlan(kind="overlap-count", t_overlap_pr=bad)
+        with pytest.raises(BadConfig):
+            MetricPlan(kind="quantile", m=bad)
 
 
 # -------------------------------------------------------------- EvalConfig
@@ -159,6 +172,17 @@ def test_eval_config_validation():
         EvalConfig(**{**good, "hole_fraction": 1.0})
     with pytest.raises(BadConfig):
         EvalConfig(**{**good, "base_seed": -1})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(BadConfig):
+            EvalConfig(**{**good, "d_rmse_pr": bad})
+        with pytest.raises(BadConfig):
+            EvalConfig(**{**good, "hole_fraction": bad})
+        for axis in SWEEP_AXES:
+            with pytest.raises(BadConfig):
+                EvalConfig(**{**good, "sweep_axis": axis,
+                              "sweep_values": (1.0, bad)})
+    with pytest.raises(BadConfig):
+        EvalConfig(**{**good, "sweep_axis": "d_rmse", "sweep_values": (0.0, 2.5)})
     assert set(SWEEP_AXES) >= {"t", "iterations", "d_rmse", "inlier_ratio"}
 
 

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial.transform import Rotation
 
 from ransacreg import (
@@ -292,3 +295,48 @@ def test_scalar_solver_equals_batch_solver_bitwise():
         est = estimate_rigid_transform(src[i], tgt[i], min_triangle_area=0.0)
         np.testing.assert_array_equal(est.rotation, rotations[i])
         np.testing.assert_array_equal(est.translation, translations[i])
+
+
+_COORD = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def _near_degenerate_samples(draw):
+    """(source, target) of 3 to 6 pairs: sources on a line through a and
+    a + u, each pushed off it by a drawn tiny amount (0 included), so the
+    sample is collinear, coincident or nearly so; targets are the sources
+    under a drawn rigid motion, mirrored through a plane or not, plus
+    drawn noise."""
+    n = draw(st.integers(3, 6))
+    a, u, w = (draw(hnp.arrays(np.float64, 3, elements=_COORD))
+               for _ in range(3))
+    along = draw(hnp.arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
+    off = draw(hnp.arrays(np.float64, n, elements=st.sampled_from(
+        [0.0, 1e-300, 1e-15, 1e-9, 1e-6, 1e-3, 0.1, 1.0])))
+    src = a + along[:, None] * u + off[:, None] * w
+    axis = draw(hnp.arrays(np.float64, 3, elements=st.floats(0.1, 1.0)))
+    rot = rotation_about_axis(axis, draw(st.floats(-math.pi, math.pi)))
+    mirror = np.diag([1.0, 1.0, draw(st.sampled_from([1.0, -1.0]))])
+    noise = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    shift = draw(hnp.arrays(np.float64, (n, 3), elements=st.floats(-1.0, 1.0)))
+    tgt = src @ (rot @ mirror).T + noise * shift
+    return src, tgt
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_near_degenerate_samples(), st.sampled_from([None, 0.0]))
+def test_solver_on_near_collinear_and_mirrored_samples(sample, min_area):
+    """DegenerateSample, or a proper rotation bit-equal to the batch
+    kernel that RANSAC runs."""
+    src, tgt = sample
+    try:
+        est = estimate_rigid_transform(src, tgt, min_triangle_area=min_area)
+    except DegenerateSample:
+        return
+    rotations, translations = _estimate_rigid_batch(src[np.newaxis],
+                                                    tgt[np.newaxis])
+    np.testing.assert_array_equal(est.rotation.view(np.uint64),
+                                  rotations[0].view(np.uint64))
+    np.testing.assert_array_equal(est.translation.view(np.uint64),
+                                  translations[0].view(np.uint64))
+    assert abs(np.linalg.det(est.rotation) - 1.0) <= 1e-9

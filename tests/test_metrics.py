@@ -33,8 +33,7 @@ from ransacreg import (
     transformation_errors,
 )
 from ransacreg import metrics as metrics_module
-from ransacreg.metrics import (_cloud_values_batch, _corr_value,
-                               _corr_values_batch)
+from ransacreg.metrics import _cloud_values_batch, _corr_values_batch
 
 from conftest import random_rigid, random_rotation
 
@@ -539,9 +538,9 @@ def test_batch_scoring_equals_sequential_bitwise(monkeypatch):
     assert len(seen) == 7 and len({b.ctypes.data for b in seen}) == 2
     monkeypatch.setattr(metrics_module, "_errors_batch", kernel)
     for k, spec in enumerate(specs):
-        scalar = np.array([_corr_value(spec, rotations[i], translations[i],
-                                       corrs.sources, corrs.targets)
-                           for i in range(h)])
+        scalar = np.array([evaluate_hypothesis(
+            spec, RigidTransform(rotations[i], translations[i]), corrs).value
+            for i in range(h)])
         np.testing.assert_array_equal(batch[k].view(np.uint64),
                                       scalar.view(np.uint64),
                                       err_msg=f"{spec.kind} t={spec.t}")

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ransacreg import (Correspondence, CorrespondenceSet, ExperimentRow,
-                       HypothesisScore, InvalidInput, MetricKind, MetricSpec,
-                       PointCloud, RansacConfig, RansacRegError,
+                       HypothesisScore, InvalidInput, MetricKind, MetricPlan,
+                       MetricSpec, PointCloud, RansacConfig, RansacRegError,
                        RigidTransform, build_index, cloud_resolution,
-                       estimate_rigid_transform, evaluate_hypothesis_cloud,
-                       is_correct, rotation_about_axis, run_ransac,
-                       score_correspondence, score_errors)
+                       estimate_rigid_transform, evaluate_hypothesis,
+                       evaluate_hypothesis_cloud, is_correct,
+                       rotation_about_axis, run_ransac, score_correspondence,
+                       score_errors)
 
 _rng = np.random.default_rng(71)
 GOOD = _rng.normal(size=(5, 3))
@@ -94,12 +95,29 @@ OTHER_CASES = {
         (lambda b: RigidTransform(b, np.zeros(3)), np.diag([1.0, 1.0, -1.0])),
     "rotation_about_axis-zero axis":
         (lambda b: rotation_about_axis(b, 0.5), np.zeros(3)),
+    "rotation_about_axis-(2,) axis":
+        (lambda b: rotation_about_axis(b, 0.5), [1.0, 0.0]),
+    "rotation_about_axis-nan angle":
+        (lambda b: rotation_about_axis([0.0, 0.0, 1.0], b), np.nan),
     "score_errors-negative": (lambda b: score_errors(MAE, b), [0.5, -1.0]),
     "score_errors-nan": (lambda b: score_errors(MAE, b), [0.5, np.nan]),
+    "score_errors-non-numeric": (lambda b: score_errors(MAE, b), ["a"]),
     "score_correspondence-inf":
         (lambda b: score_correspondence(MAE, b), np.inf),
     "HypothesisScore-nan": (lambda b: HypothesisScore(b, MetricKind.MAE), np.nan),
+    "HypothesisScore-non-numeric":
+        (lambda b: HypothesisScore(b, MetricKind.MAE), "abc"),
+    "HypothesisScore-unknown kind": (lambda b: HypothesisScore(1.0, b), "nope"),
+    "MetricSpec-unknown kind": (lambda b: MetricSpec(kind=b, t=1.0), "nope"),
+    "MetricPlan-unknown kind": (lambda b: MetricPlan(kind=b), "nope"),
+    "evaluate_hypothesis-no correspondences":
+        (lambda b: evaluate_hypothesis(MAE, IDENT, b), None),
+    "evaluate_hypothesis_cloud-no index":
+        (lambda b: evaluate_hypothesis_cloud(PC_DIST, IDENT, GOOD, b), None),
+    "evaluate_hypothesis_cloud-no source":
+        (lambda b: evaluate_hypothesis_cloud(PC_DIST, IDENT, b, INDEX), None),
     "is_correct-zero threshold": (lambda b: is_correct(1.0, b, 1.0), 0.0),
+    "is_correct-nan threshold": (lambda b: is_correct(1.0, b, 1.0), np.nan),
     "is_correct-negative resolution": (lambda b: is_correct(1.0, 2.5, b), -1.0),
     "ExperimentRow-accuracy above 1": (_row, 1.5),
 }

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ransacreg import EmptyCloud, InvalidInput, KTooLarge, build_index
 
-from conftest import scan_knn, scan_nearest
+from conftest import scan_distances, scan_knn, scan_nearest
 
 
 def test_nearest_matches_linear_scan_exactly():
@@ -141,3 +144,41 @@ def test_batch_queries_do_not_depend_on_thread_count():
     d = pts - pts[idx[:, 1]]
     serial_other = np.sqrt(np.einsum("ij,ij->i", d, d))
     np.testing.assert_array_equal(index.nearest_other_distances(), serial_other)
+
+
+@st.composite
+def _tied_clouds(draw):
+    """Points on a small integer grid, some rows repeated, in drawn order,
+    times a drawn scale; queries on the half grid, so exact distance ties
+    (equidistant points, duplicates, queries on a point) are common."""
+    base = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 10), st.just(3)),
+                           elements=st.integers(-2, 2).map(float)))
+    repeats = draw(st.lists(st.integers(0, len(base) - 1), max_size=6))
+    pts = np.vstack([base, base[repeats]])
+    pts = pts[draw(st.permutations(range(len(pts))))]
+    queries = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3)),
+                              elements=st.integers(-5, 5).map(lambda v: v / 2)))
+    scale = draw(st.sampled_from([1.0, 0.25, 0.1, 3.0]))
+    return pts * scale, queries * scale
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_tied_clouds())
+def test_queries_match_linear_scan_on_duplicates_and_ties(cloud):
+    pts, queries = cloud
+    index = build_index(pts)
+    n = len(pts)
+    for q in queries:
+        assert index.nearest(q) == scan_nearest(pts, q)
+        for k in {1, 2, n // 2 + 1, n} - {0} if n > 1 else {1}:
+            idx, dists = index.knn(q, k)
+            oracle_idx, oracle_d = scan_knn(pts, q, k)
+            np.testing.assert_array_equal(idx, oracle_idx)
+            np.testing.assert_array_equal(dists, oracle_d)
+    want = np.array([scan_nearest(pts, q)[1] for q in queries])
+    np.testing.assert_allclose(index.nearest_distances(queries), want,
+                               rtol=1e-12, atol=0.0)
+    if n > 1:
+        other = np.array([np.min(np.delete(scan_distances(pts, p), i))
+                          for i, p in enumerate(pts)])
+        np.testing.assert_array_equal(index.nearest_other_distances(), other)
