@@ -236,11 +236,16 @@ def _estimate_rigid_batch(source: np.ndarray, target: np.ndarray
     source, target: (H, N, 3) stacks of pre-screened non-degenerate samples
     of N >= 3 pairs. Returns (rotations (H, 3, 3), translations (H, 3)):
     the SVD solve of :func:`estimate_rigid_transform`, batched through
-    LAPACK.
+    LAPACK. Raises :class:`InvalidInput` when coordinates are so large that
+    a cross-covariance overflows float64.
     """
     c_src = source.mean(axis=1, keepdims=True)
     c_tgt = target.mean(axis=1, keepdims=True)
     h = np.einsum("nij,nik->njk", source - c_src, target - c_tgt)
+    # A batched SVD of non-finite matrices can loop forever in LAPACK.
+    if not np.isfinite(h).all():
+        raise InvalidInput("coordinates too large: a sample's cross-covariance "
+                           "overflows float64")
     u, _, vt = np.linalg.svd(h)
     v_ut = np.einsum("nji,nkj->nik", vt, u)  # V @ U^T
     sign = np.sign(np.linalg.det(v_ut))

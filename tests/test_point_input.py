@@ -93,6 +93,10 @@ OTHER_CASES = {
         (lambda b: RigidTransform(b, np.zeros(3)), [[1, 0, 0], [0, 1], [0, 0, 1]]),
     "RigidTransform-reflection":
         (lambda b: RigidTransform(b, np.zeros(3)), np.diag([1.0, 1.0, -1.0])),
+    # Overflows the solve's cross-covariance, on which LAPACK's batched SVD
+    # can loop forever.
+    "estimate_rigid_transform-1e308 target":
+        (lambda b: estimate_rigid_transform(GOOD * 100.0, b), _with(GOOD, 1e308)),
     "rotation_about_axis-zero axis":
         (lambda b: rotation_about_axis(b, 0.5), np.zeros(3)),
     "rotation_about_axis-(2,) axis":
