@@ -93,6 +93,9 @@ OTHER_CASES = {
         (lambda b: RigidTransform(b, np.zeros(3)), [[1, 0, 0], [0, 1], [0, 0, 1]]),
     "RigidTransform-reflection":
         (lambda b: RigidTransform(b, np.zeros(3)), np.diag([1.0, 1.0, -1.0])),
+    # Squared distance overflows: the k-d tree finds no neighbor.
+    "cloud_resolution-1e308 apart":
+        (lambda b: cloud_resolution(b), [[0.0, 0.0, 0.0], [1e308, 0.0, 0.0]]),
     # Overflows the solve's cross-covariance, on which LAPACK's batched SVD
     # can loop forever.
     "estimate_rigid_transform-1e308 target":
