@@ -5,8 +5,8 @@ repr), so a write/parse cycle reproduces the array bit for bit. Binary
 PLY is recognized and rejected explicitly.
 
 A coordinate token is accepted exactly when Python's `float()` accepts it
-and the value is finite. Each file's tokens are converted in one pass; a
-malformed file raises the first error in file order, with its line.
+and |value| <= `COORD_LIMIT`. Each file's tokens are converted in one
+pass; a malformed file raises the first error in file order, with its line.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ParseError, UnsupportedFormat
 from .geom import PointCloud, RigidTransform
 from .metrics import CorrespondenceSet
+from .spatial import _in_coord_domain
 
 __all__ = [
     "FORMATS",
@@ -59,8 +60,9 @@ def _parse_float(token: str, path: str, lineno: int) -> float:
         value = float(token)
     except ValueError:
         raise ParseError(f"not a number: {token!r}", path, lineno) from None
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite coordinate: {token!r}", path, lineno)
+    if not _in_coord_domain(np.float64(value)):
+        what = "out-of-range" if math.isfinite(value) else "non-finite"
+        raise ParseError(f"{what} coordinate: {token!r}", path, lineno)
     return value
 
 
@@ -99,8 +101,8 @@ def _to_floats(rows, path: str) -> np.ndarray:
     one flat float64 array.
 
     Each token goes through Python's `float()` once and the array gets one
-    finiteness check. If anything is malformed, the rows are walked again
-    in file order, token by token, to raise the first error with its line.
+    domain check. If anything is malformed, the rows are walked again in
+    file order, token by token, to raise the first error with its line.
     """
     tokens = []
     try:
@@ -110,7 +112,7 @@ def _to_floats(rows, path: str) -> np.ndarray:
     except (ParseError, ValueError):
         pass
     else:
-        if np.isfinite(values).all():
+        if _in_coord_domain(values):
             return values
     for lineno, row in rows():
         for token in row:
@@ -230,8 +232,8 @@ def _ply_vertex_rows(lines: list[str], elements, body_start: int,
 def parse_cloud_file(path, format: str | None = None) -> PointCloud:
     """Read a point cloud; `format` defaults to suffix detection.
 
-    A coordinate is any token that Python's `float()` accepts with a
-    finite value. Raises :class:`ParseError` on malformed content: the
+    A coordinate is any token that `float()` accepts with |value| <=
+    `COORD_LIMIT`. Raises :class:`ParseError` on malformed content: the
     first error in file order, with its line number where it has one.
     Raises :class:`UnsupportedFormat` for binary PLY or unrecognized
     formats.

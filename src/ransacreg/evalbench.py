@@ -67,8 +67,8 @@ def rmse(est: RigidTransform, gt_pairs) -> float:
     the value is sum_j ||R p_s_j + t - p_t_j|| / N. Despite the
     conventional name, no squaring is applied beyond the per-pair norm.
     Raises :class:`EmptyGroundTruth` for no pairs and :class:`InvalidInput`
-    for ragged or non-numeric pairs, any other shape or a non-finite
-    coordinate.
+    for ragged or non-numeric pairs, any other shape or a coordinate
+    outside +-COORD_LIMIT.
     """
     pairs = _as_array(gt_pairs, "gt_pairs")
     if pairs.size == 0:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DegenerateSample, InsufficientPairs, InvalidInput,
                      TooFewPoints)
-from .spatial import _as_points, build_index
+from .spatial import COORD_LIMIT, _as_points, _in_coord_domain, build_index
 
 __all__ = [
     "PointCloud",
@@ -70,8 +70,8 @@ class RigidTransform:
     """A 6-DoF pose: proper rotation plus translation, p -> R p + t.
 
     The constructor raises :class:`InvalidInput` unless the rotation is
-    3x3, orthonormal with determinant +1 within ``ROTATION_TOL``, the
-    translation has 3 entries and every entry is finite.
+    3x3, orthonormal with determinant +1 within ``ROTATION_TOL``, and the
+    translation has 3 entries and a norm of at most 4 ``COORD_LIMIT``.
     """
 
     rotation: np.ndarray
@@ -88,8 +88,10 @@ class RigidTransform:
         if t.size != 3:
             raise InvalidInput(f"translation must have 3 entries, got {t.shape}")
         t = t.reshape(3)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
-            raise InvalidInput("transform entries must be finite")
+        # Components first: np.linalg.norm itself warns on overflow.
+        if not (_in_coord_domain(r) and _in_coord_domain(t, 4 * COORD_LIMIT)
+                and np.linalg.norm(t) <= 4 * COORD_LIMIT):
+            raise InvalidInput("transform entries out of the coordinate domain")
         if np.linalg.norm(r.T @ r - np.eye(3)) > ROTATION_TOL:
             raise InvalidInput("rotation is not orthonormal within tolerance")
         if abs(np.linalg.det(r) - 1.0) > ROTATION_TOL:
@@ -236,16 +238,11 @@ def _estimate_rigid_batch(source: np.ndarray, target: np.ndarray
     source, target: (H, N, 3) stacks of pre-screened non-degenerate samples
     of N >= 3 pairs. Returns (rotations (H, 3, 3), translations (H, 3)):
     the SVD solve of :func:`estimate_rigid_transform`, batched through
-    LAPACK. Raises :class:`InvalidInput` when coordinates are so large that
-    a cross-covariance overflows float64.
+    LAPACK.
     """
     c_src = source.mean(axis=1, keepdims=True)
     c_tgt = target.mean(axis=1, keepdims=True)
     h = np.einsum("nij,nik->njk", source - c_src, target - c_tgt)
-    # A batched SVD of non-finite matrices can loop forever in LAPACK.
-    if not np.isfinite(h).all():
-        raise InvalidInput("coordinates too large: a sample's cross-covariance "
-                           "overflows float64")
     u, _, vt = np.linalg.svd(h)
     v_ut = np.einsum("nji,nkj->nik", vt, u)  # V @ U^T
     sign = np.sign(np.linalg.det(v_ut))

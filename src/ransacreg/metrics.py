@@ -81,7 +81,7 @@ CORRESPONDENCE_KINDS = frozenset(MetricKind) - CLOUD_KINDS
 @dataclass(frozen=True, eq=False)
 class Correspondence:
     """A putative match c = (p_s, p_t) between a source and a target point;
-    InvalidInput unless each is exactly one finite 3-D point."""
+    InvalidInput unless each is exactly one in-domain 3-D point."""
 
     source: np.ndarray
     target: np.ndarray
@@ -100,7 +100,7 @@ class CorrespondenceSet:
     `sources[j]` pairs with `targets[j]`. Array storage keeps hypothesis
     evaluation vectorized; `items` offers the per-item view. Sources and
     targets are each an (N, 3) array-like or one (3,) point, of the same
-    shape and finite; anything else raises :class:`InvalidInput`.
+    shape and in the coordinate domain; else :class:`InvalidInput`.
     """
 
     sources: np.ndarray
@@ -469,9 +469,13 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
         return _score_pass(specs, h, blocks(), reduce)
 
 
-def _cloud_points(source) -> np.ndarray:
-    """The checked (N, 3) points of a cloud metric's source; EmptyCloud if
+def _cloud_points(kind: MetricKind, source,
+                  target_index: NeighborIndex | None) -> np.ndarray:
+    """The checked (N, 3) points of cloud metric `kind`'s source:
+    MissingClouds if `source` or `target_index` is None, EmptyCloud if
     N = 0, InvalidInput if malformed."""
+    if source is None or target_index is None:
+        raise MissingClouds(f"{kind} needs source cloud and target index")
     pts = _as_points(source, "source")
     if pts.shape[0] == 0:
         raise EmptyCloud("source cloud is empty")
@@ -552,9 +556,8 @@ def evaluate_hypothesis_cloud(spec: MetricSpec, transform: RigidTransform,
     MissingClouds when `source` or `target_index` is None.
     """
     _require_kind(spec, cloud=True)
-    if source is None or target_index is None:
-        raise MissingClouds(f"{spec.kind} needs source cloud and target index")
     dists = _cloud_distances(transform.rotation[np.newaxis],
                              transform.translation[np.newaxis],
-                             _cloud_points(source), target_index)
+                             _cloud_points(spec.kind, source, target_index),
+                             target_index)
     return HypothesisScore(_cloud_score(spec, dists)[0], spec.kind)

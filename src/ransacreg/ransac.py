@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadConfig, MissingClouds, PersistentDegeneracy,
-                     TooFewCorrespondences)
-from .geom import (DEGENERACY_AREA_FACTOR, RigidTransform, _estimate_rigid_batch,
-                   cloud_resolution, triangle_area)
+from .errors import BadConfig, PersistentDegeneracy, TooFewCorrespondences
+from .geom import (RigidTransform, _degeneracy_threshold, _estimate_rigid_batch,
+                   triangle_area)
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, HypothesisScore,
                       MetricSpec, _cloud_points, _cloud_values_batch,
                       _corr_values_batch)
@@ -95,11 +94,6 @@ class RegistrationResult:
     elapsed_total_time: float
 
 
-def _degeneracy_area(corrs: CorrespondenceSet) -> float:
-    res = cloud_resolution(corrs.sources)
-    return DEGENERACY_AREA_FACTOR * res * res
-
-
 def sample_minimal(corrs: CorrespondenceSet, rng: np.random.Generator, *,
                    min_triangle_area: float | None = None,
                    degeneracy_retries: int = 100) -> np.ndarray:
@@ -118,7 +112,7 @@ def sample_minimal(corrs: CorrespondenceSet, rng: np.random.Generator, *,
     if n < SAMPLE_SIZE:
         raise TooFewCorrespondences(f"need >= {SAMPLE_SIZE} correspondences, got {n}")
     if min_triangle_area is None:
-        min_triangle_area = _degeneracy_area(corrs)
+        min_triangle_area = _degeneracy_threshold(corrs.sources)
     src = corrs.sources
     for _ in range(degeneracy_retries + 1):
         idx = rng.choice(n, size=SAMPLE_SIZE, replace=False)
@@ -141,7 +135,7 @@ def _sample_hypotheses(corrs: CorrespondenceSet, seed: int, iterations: int,
         raise TooFewCorrespondences(
             f"need >= {SAMPLE_SIZE} correspondences, got {corrs.n}")
     rng = np.random.default_rng(seed)
-    min_area = _degeneracy_area(corrs)
+    min_area = _degeneracy_threshold(corrs.sources)
     triples = np.empty((iterations, SAMPLE_SIZE), dtype=np.intp)
     for i in range(iterations):
         triples[i] = sample_minimal(corrs, rng, min_triangle_area=min_area,
@@ -170,10 +164,7 @@ def _score_hypotheses(rotations: np.ndarray, translations: np.ndarray, specs,
     corr_rows = [k for k, s in enumerate(specs) if s.kind not in CLOUD_KINDS]
     cloud_rows = [k for k, s in enumerate(specs) if s.kind in CLOUD_KINDS]
     if cloud_rows:
-        if source is None or target_index is None:
-            raise MissingClouds(
-                f"{specs[cloud_rows[0]].kind} needs source cloud and target index")
-        points = _cloud_points(source)
+        points = _cloud_points(specs[cloud_rows[0]].kind, source, target_index)
     if corr_rows:
         values[corr_rows], seconds[corr_rows] = _corr_values_batch(
             [specs[k] for k in corr_rows], rotations, translations,

@@ -11,7 +11,7 @@ The batch queries (:meth:`NeighborIndex.nearest_distances` and
 :meth:`NeighborIndex.nearest_other_distances`) run on every CPU core.
 The tree traverses each query row on its own, so their results do not
 depend on the thread count. Single-point queries stay serial.
-`_as_points` is the package's one check of point input.
+`_as_points` is the package's one check of point input and coordinates.
 """
 
 from __future__ import annotations
@@ -23,7 +23,14 @@ from scipy.spatial import cKDTree
 
 from .errors import EmptyCloud, InvalidInput, KTooLarge
 
-__all__ = ["NeighborIndex", "build_index"]
+__all__ = ["COORD_LIMIT", "NeighborIndex", "build_index"]
+
+# The coordinate domain: point coordinates |x| <= L and translation norms
+# <= 4 L (a pose solved between in-domain points has |t| <= 2 sqrt(3) L).
+# triangle_area's squared cross product binds: <= 192 L^4, finite below
+# L ~ 9.8e76 (inf at L = 1e100, NaN at 1e200). The error kernel stays
+# <= 3 (7.5 L)^2, a minimal sample's cross-covariance <= 12 L^2.
+COORD_LIMIT = 1e75
 
 # Relative slack added to candidate radii so that a last-ulp difference
 # between the tree's internal distance and the numpy recomputation can never
@@ -40,12 +47,18 @@ def _as_array(values, name: str) -> np.ndarray:
         raise InvalidInput(f"{name} must be a numeric array: {exc}") from None
 
 
+def _in_coord_domain(values: np.ndarray, limit: float = COORD_LIMIT) -> bool:
+    """False for NaN, +-inf or any |x| > limit in `values`; allocates nothing."""
+    return values.size == 0 or bool(-limit <= values.min()
+                                    and values.max() <= limit)
+
+
 def _as_points(points, name: str = "points", *, one: bool = False
                ) -> np.ndarray:
     """The float64 (N, 3) points of a PointCloud, an (N, 3) array-like or
     one (3,) point (float64 input is not copied). Raises InvalidInput for
-    non-numeric input, any other shape, a non-finite coordinate, or (with
-    `one`) other than one point; N = 0 passes: the caller decides on empty.
+    non-numeric input, any other shape, a NaN, inf or |x| > COORD_LIMIT, or
+    (with `one`) other than one point; N = 0 passes: the caller decides.
     """
     pts = _as_array(getattr(points, "points", points), name)
     if pts.dtype.kind not in "biuf":
@@ -56,8 +69,8 @@ def _as_points(points, name: str = "points", *, one: bool = False
     if pts.ndim != 2 or pts.shape[1] != 3 or (one and pts.shape[0] != 1):
         want = "one (3,) point" if one else "an (N, 3) array or one (3,) point"
         raise InvalidInput(f"{name} must be {want}, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise InvalidInput(f"{name} must have finite coordinates")
+    if not _in_coord_domain(pts):
+        raise InvalidInput(f"{name} has a coordinate outside +-{COORD_LIMIT:g}")
     return pts
 
 
@@ -90,7 +103,7 @@ class NeighborIndex:
 
         Returns (indices, distances) sorted ascending by distance, ties by
         index. Raises :class:`KTooLarge` unless 1 <= k <= point_count and
-        :class:`InvalidInput` unless `q` is exactly one finite point.
+        :class:`InvalidInput` unless `q` is exactly one in-domain point.
         """
         if not 1 <= k <= self.point_count:
             raise KTooLarge(f"k={k} not in [1, {self.point_count}]")
@@ -119,20 +132,14 @@ class NeighborIndex:
         """For each indexed point, distance to its nearest *other* point.
 
         Distances are recomputed in numpy against the neighbor the tree
-        reports, so they match a brute-force scan. Needs >= 2 points; raises
-        :class:`InvalidInput` when a point's nearest distance overflows
-        float64 (the tree then finds no neighbor). Like
+        reports, so they match a brute-force scan. Needs >= 2 points. Like
         :meth:`nearest_distances`, the query uses every CPU core and its
         result does not depend on the thread count.
         """
         if self.point_count < 2:
             raise EmptyCloud("need at least 2 points for neighbor distances")
         _, idx = self._tree.query(self.points, k=2, workers=-1)
-        other = idx[:, 1]
-        if np.any(other == self.point_count):
-            raise InvalidInput("point distances overflow float64")
-        d = self.points - self.points[other]
-        return np.sqrt(np.einsum("ij,ij->i", d, d))
+        return _scan_distances(self.points, self.points[idx[:, 1]])
 
 
 def build_index(cloud) -> NeighborIndex:

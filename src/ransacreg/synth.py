@@ -110,8 +110,8 @@ class ScenePair:
 
     `gt_pairs` has shape (N, 2, 3); gt_pairs[j] = (p_s, p_t) where the
     ground-truth pose maps p_s onto p_t (exactly, when built noise-free).
-    Ragged or non-numeric pairs, any other shape or a non-finite coordinate
-    raise :class:`InvalidInput`.
+    Ragged or non-numeric pairs, any other shape or a coordinate outside
+    +-COORD_LIMIT raise :class:`InvalidInput`.
     """
 
     source: PointCloud

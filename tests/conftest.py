@@ -4,13 +4,22 @@ Random rotations here come from QR decomposition, deliberately a different
 construction than the library's Rodrigues/SVD paths, so tests that compare
 against them act as independent inputs rather than echoes of the code under
 test.
+
+Every `hypothesis` property runs under one profile: examples derived from
+the test itself, no example database (so runs repeat exactly) and no
+per-example deadline. Each property sets only its `max_examples`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from ransacreg import RigidTransform
+
+settings.register_profile("ransacreg", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("ransacreg")
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -324,7 +324,7 @@ def _ply_header(count: int, props=("x", "y", "z"), fmt="ascii") -> str:
                     *(f"property float {p}\n" for p in props), "end_header\n"])
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(rows=_rows(3), header=st.sampled_from(
            ["none", "ply", "ply-count", "ply-binary", "ply-no-z"]),
        suffix=st.sampled_from([".xyz", ".ply", ".ply", ".pcd"]))
@@ -339,7 +339,7 @@ def test_malformed_cloud_files_exit_0_or_2(tmp_path_factory, rows, header,
     assert exit_code("info", str(path)) in (0, 2)
 
 
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(rows=_rows(6, min_rows=3))
 def test_malformed_correspondence_files_exit_0_or_2(tmp_path_factory,
                                                     scene_files, rows):
@@ -362,7 +362,7 @@ _REGISTER_FLAGS = ("--metric", "--format", "--iterations", "--seed", "--t",
                    "--m", "--t-overlap", "--corrs", "--gt", "--bogus")
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(flag=st.sampled_from(_BENCH_FLAGS), value=_VALUES)
 def test_bench_flag_values_exit_0_1_or_2(tmp_path_factory, flag, value):
     out_path = tmp_path_factory.mktemp("bench") / "x.csv"
@@ -374,7 +374,7 @@ def test_bench_flag_values_exit_0_1_or_2(tmp_path_factory, flag, value):
     assert out_path.exists() == (code == 0)
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(flag=st.sampled_from(_REGISTER_FLAGS), value=_VALUES)
 def test_register_flag_values_exit_0_1_or_2(scene_files, flag, value):
     exit_code("register", scene_files["src"], scene_files["tgt"],

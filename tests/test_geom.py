@@ -323,7 +323,7 @@ def _near_degenerate_samples(draw):
     return src, tgt
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_near_degenerate_samples(), st.sampled_from([None, 0.0]))
 def test_solver_on_near_collinear_and_mirrored_samples(sample, min_area):
     """DegenerateSample, or a proper rotation bit-equal to the batch

@@ -27,7 +27,8 @@ from ransacreg import (
     triangle_area,
 )
 from ransacreg import metrics as metrics_module
-from ransacreg.ransac import SAMPLE_SIZE, _degeneracy_area
+from ransacreg.geom import _degeneracy_threshold
+from ransacreg.ransac import SAMPLE_SIZE
 
 from conftest import random_rigid
 
@@ -112,7 +113,7 @@ def test_sample_minimal_skips_degenerate_triples():
     off = rng_data.normal(size=(10, 3)) * 20 + np.array([0.0, 40.0, 0.0])
     src = np.vstack([line, off])
     corrs = CorrespondenceSet(src, src)
-    min_area = _degeneracy_area(corrs)
+    min_area = _degeneracy_threshold(corrs.sources)
     rng = np.random.default_rng(54)
     for _ in range(300):
         idx = sample_minimal(corrs, rng)

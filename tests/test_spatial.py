@@ -162,7 +162,7 @@ def _tied_clouds(draw):
     return pts * scale, queries * scale
 
 
-@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(_tied_clouds())
 def test_queries_match_linear_scan_on_duplicates_and_ties(cloud):
     pts, queries = cloud
