@@ -14,10 +14,10 @@ class RansacRegError(Exception):
 class InvalidInput(RansacRegError, ValueError):
     """An operation received malformed input: points that are not numeric,
     not shaped (N, 3) or (3,), or outside +-COORD_LIMIT; a transform that
-    is not a proper rigid motion in that domain; values outside their domain (a negative
-    error, a non-numeric or non-finite score, a non-finite threshold, an
-    accuracy outside [0, 1]); or degenerate benchmark input (e.g. no
-    hypotheses). Also a ValueError, like numpy's bad-array errors."""
+    is not an in-domain proper rigid motion; other values outside their
+    domain (a negative error, a non-numeric or non-finite score, a
+    non-finite threshold, an accuracy outside [0, 1]); or degenerate
+    benchmark input (e.g. no hypotheses). Also a ValueError, as in numpy."""
 
 
 # --- geometry ---------------------------------------------------------------

@@ -91,7 +91,7 @@ class RigidTransform:
         # Components first: np.linalg.norm itself warns on overflow.
         if not (_in_coord_domain(r) and _in_coord_domain(t, 4 * COORD_LIMIT)
                 and np.linalg.norm(t) <= 4 * COORD_LIMIT):
-            raise InvalidInput("transform entries out of the coordinate domain")
+            raise InvalidInput("transform is outside the coordinate domain")
         if np.linalg.norm(r.T @ r - np.eye(3)) > ROTATION_TOL:
             raise InvalidInput("rotation is not orthonormal within tolerance")
         if abs(np.linalg.det(r) - 1.0) > ROTATION_TOL:

@@ -11,7 +11,7 @@ The batch queries (:meth:`NeighborIndex.nearest_distances` and
 :meth:`NeighborIndex.nearest_other_distances`) run on every CPU core.
 The tree traverses each query row on its own, so their results do not
 depend on the thread count. Single-point queries stay serial.
-`_as_points` is the package's one check of point input and coordinates.
+`_as_points` checks point input and `_in_coord_domain` every coordinate.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _as_array(values, name: str) -> np.ndarray:
 
 
 def _in_coord_domain(values: np.ndarray, limit: float = COORD_LIMIT) -> bool:
-    """False for NaN, +-inf or any |x| > limit in `values`; allocates nothing."""
+    """False if `values` holds a NaN, +-inf or |x| > limit; allocates nothing."""
     return values.size == 0 or bool(-limit <= values.min()
                                     and values.max() <= limit)
 

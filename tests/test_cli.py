@@ -290,7 +290,7 @@ def scene_files(tmp_path_factory):
 
 
 _NUMBER = st.floats(-1e3, 1e3).map(repr)
-_ODD_NUMBER = st.sampled_from(["1_0", "+.5", "5.", "1e-400", "1e308", "-1e308"])
+_ODD_NUMBER = st.sampled_from(["1_0", "+.5", "5.", "1e-400", "1e75", "-1e75"])
 _BAD_TOKEN = st.sampled_from(["nan", "inf", "0x10", "x", "1,5", "--1"])
 
 
