@@ -73,7 +73,7 @@ def _values_spec(text: str) -> tuple[float, ...]:
         if not values:
             raise ValueError
         return values
-    except ValueError:
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(
             f"bad values spec {text!r}; use 'a,b,c' or 'start:stop:step'"
         ) from None

@@ -5,8 +5,10 @@ repr), so a write/parse cycle reproduces the array bit for bit. Binary
 PLY is recognized and rejected explicitly.
 
 A coordinate token is accepted exactly when Python's `float()` accepts it
-and |value| <= `COORD_LIMIT`. Each file's tokens are converted in one
-pass; a malformed file raises the first error in file order, with its line.
+and |value| <= `COORD_LIMIT` (in a transform file 4 `COORD_LIMIT`, the
+translation bound; `RigidTransform` checks the rest). Each file's tokens
+are converted in one pass; a malformed file raises the first error in file
+order, with its line.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import ParseError, UnsupportedFormat
 from .geom import PointCloud, RigidTransform
 from .metrics import CorrespondenceSet
-from .spatial import _in_coord_domain
+from .spatial import COORD_LIMIT, _in_coord_domain
 
 __all__ = [
     "FORMATS",
@@ -55,12 +57,13 @@ def detect_format(path) -> str:
             f"expected one of {sorted(set(_SUFFIX_FORMAT))}") from None
 
 
-def _parse_float(token: str, path: str, lineno: int) -> float:
+def _parse_float(token: str, path: str, lineno: int,
+                 limit: float = COORD_LIMIT) -> float:
     try:
         value = float(token)
     except ValueError:
         raise ParseError(f"not a number: {token!r}", path, lineno) from None
-    if not _in_coord_domain(np.float64(value)):
+    if not _in_coord_domain(np.float64(value), limit):
         what = "out-of-range" if math.isfinite(value) else "non-finite"
         raise ParseError(f"{what} coordinate: {token!r}", path, lineno)
     return value
@@ -96,9 +99,9 @@ def _token_rows(lines: list[str], path: str, width: int | None = None,
         yield lineno, tokens
 
 
-def _to_floats(rows, path: str) -> np.ndarray:
+def _to_floats(rows, path: str, limit: float = COORD_LIMIT) -> np.ndarray:
     """Every token of `rows()`, an iterator of (line number, tokens), as
-    one flat float64 array.
+    one flat float64 array of values within +-`limit`.
 
     Each token goes through Python's `float()` once and the array gets one
     domain check. If anything is malformed, the rows are walked again in
@@ -112,11 +115,11 @@ def _to_floats(rows, path: str) -> np.ndarray:
     except (ParseError, ValueError):
         pass
     else:
-        if _in_coord_domain(values):
+        if _in_coord_domain(values, limit):
             return values
     for lineno, row in rows():
         for token in row:
-            _parse_float(token, path, lineno)
+            _parse_float(token, path, lineno, limit)
     raise AssertionError(f"{path}: malformed, but no token fails to parse")
 
 
@@ -258,10 +261,12 @@ def parse_correspondence_file(path) -> CorrespondenceSet:
 
 
 def parse_transform_file(path) -> RigidTransform:
-    """Read a rigid transform: 12 numbers ([R | t] rows) or a 4x4 matrix."""
+    """Read a rigid transform: 12 numbers ([R | t] rows) or a 4x4 matrix,
+    each within +-4 `COORD_LIMIT`; `RigidTransform` checks the rest."""
     path = str(path)
     lines = _read_lines(path)
-    values = _to_floats(lambda: _token_rows(lines, path), path)
+    values = _to_floats(lambda: _token_rows(lines, path), path,
+                        4 * COORD_LIMIT)
     if len(values) == 16:
         matrix = values.reshape(4, 4)
         if not np.allclose(matrix[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9):

@@ -1,16 +1,13 @@
 """Exact nearest-neighbor search over 3D point sets.
 
-A :class:`NeighborIndex` wraps a k-d tree but guarantees *linear-scan
-semantics*: queries return exactly what a brute-force scan over the indexed
-points would return, with distance ties broken by the lowest point index.
-The tree is only used to find candidates; final distances are recomputed
-with plain numpy so results are bit-identical to a scan, which keeps every
-downstream quantity (cloud resolution, overlap counts) reproducible.
-
-The batch queries (:meth:`NeighborIndex.nearest_distances` and
-:meth:`NeighborIndex.nearest_other_distances`) run on every CPU core.
-The tree traverses each query row on its own, so their results do not
-depend on the thread count. Single-point queries stay serial.
+Single-point search is a linear scan, `_scan_knn`: numpy distances to
+every point, the k smallest, ties broken by the lowest point index.
+:meth:`NeighborIndex.knn`, :meth:`NeighborIndex.nearest` and hole
+punching use it. The k-d tree serves only the batch queries, which run on
+every CPU core and give the same result for any thread count.
+:meth:`NeighborIndex.nearest_distances` returns the tree's own distances
+(they may differ from a scan's in the last bits);
+:meth:`NeighborIndex.nearest_other_distances` re-measures in numpy.
 `_as_points` checks point input and `_in_coord_domain` every coordinate.
 """
 
@@ -31,11 +28,6 @@ __all__ = ["COORD_LIMIT", "NeighborIndex", "build_index"]
 # L ~ 9.8e76 (inf at L = 1e100, NaN at 1e200). The error kernel stays
 # <= 3 (7.5 L)^2, a minimal sample's cross-covariance <= 12 L^2.
 COORD_LIMIT = 1e75
-
-# Relative slack added to candidate radii so that a last-ulp difference
-# between the tree's internal distance and the numpy recomputation can never
-# exclude a true nearest neighbor.
-_RADIUS_SLACK = 1e-9
 
 
 def _as_array(values, name: str) -> np.ndarray:
@@ -80,6 +72,17 @@ def _scan_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
+def _scan_knn(points: np.ndarray, q: np.ndarray, k: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The k rows of `points` nearest to `q`, 1 <= k <= len(points), as
+    (indices, distances) sorted ascending by distance, ties by index."""
+    d = _scan_distances(points, q)
+    kth = np.partition(d, k - 1)[k - 1]
+    cand = np.flatnonzero(d <= kth)
+    near = cand[np.lexsort((cand, d[cand]))[:k]]
+    return near, d[near]
+
+
 @dataclass(frozen=True, eq=False)
 class NeighborIndex:
     """Immutable exact nearest-neighbor index over a frozen copy of a cloud."""
@@ -99,7 +102,7 @@ class NeighborIndex:
         return int(idx[0]), float(dists[0])
 
     def knn(self, q, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The k nearest indexed points to `q`.
+        """The k nearest indexed points to `q`, by a linear scan.
 
         Returns (indices, distances) sorted ascending by distance, ties by
         index. Raises :class:`KTooLarge` unless 1 <= k <= point_count and
@@ -107,22 +110,15 @@ class NeighborIndex:
         """
         if not 1 <= k <= self.point_count:
             raise KTooLarge(f"k={k} not in [1, {self.point_count}]")
-        q = _as_points(q, "query", one=True)[0]
-        kth = self._tree.query(q, k=k)[0]
-        kth = float(np.atleast_1d(kth)[-1])
-        r = kth * (1.0 + _RADIUS_SLACK)
-        cand = np.asarray(self._tree.query_ball_point(q, r), dtype=np.intp)
-        dists = _scan_distances(self.points[cand], q)
-        order = np.lexsort((cand, dists))[:k]
-        return cand[order].astype(np.intp), dists[order]
+        return _scan_knn(self.points, _as_points(q, "query", one=True)[0], k)
 
     def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
         """Distance from each query row to its closest indexed point.
 
         Batch companion to :meth:`nearest` for whole-cloud metrics; only the
-        distances are returned, so tie resolution is irrelevant here. The
-        rows are split across every CPU core; each distance is the same for
-        any thread count.
+        distances are returned, so tie resolution is irrelevant here. They
+        are the tree's own, not re-measured. The rows are split across every
+        CPU core; each distance is the same for any thread count.
         """
         queries = np.asarray(queries, dtype=np.float64)
         d, _ = self._tree.query(queries, workers=-1)

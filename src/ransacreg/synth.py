@@ -12,6 +12,7 @@ generator, so replays are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import BadConfig, InvalidInput
 from .geom import PointCloud, RigidTransform, rotation_about_axis
 from .metrics import CorrespondenceSet
-from .spatial import _as_array, _as_points, build_index
+from .spatial import _as_array, _as_points, _scan_knn
 
 __all__ = [
     "CorrespondenceConfig",
@@ -73,10 +74,12 @@ class SceneConfig:
                 raise BadConfig("shape 'file' needs explicit points")
         elif self.n_points < 10:
             raise BadConfig(f"n_points must be >= 10, got {self.n_points}")
-        if self.diameter <= 0.0:
-            raise BadConfig("diameter must be positive")
-        if self.gt_translation_magnitude < 0.0:
-            raise BadConfig("translation magnitude must be >= 0")
+        if not 0.0 < self.diameter < math.inf:
+            raise BadConfig("diameter must be positive and finite")
+        if not math.isfinite(self.gt_rotation_angle):
+            raise BadConfig("rotation angle must be finite")
+        if not 0.0 <= self.gt_translation_magnitude < math.inf:
+            raise BadConfig("translation magnitude must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,8 @@ class CorrespondenceConfig:
         if not (0.0 < self.inlier_ratio <= 1.0):
             raise BadConfig(
                 f"inlier_ratio must lie in (0, 1], got {self.inlier_ratio}")
-        if self.inlier_sigma_pr < 0.0:
-            raise BadConfig("inlier_sigma_pr must be >= 0")
+        if not 0.0 <= self.inlier_sigma_pr < math.inf:
+            raise BadConfig("inlier_sigma_pr must be >= 0 and finite")
         if round(self.n_correspondences * self.inlier_ratio) < 3:
             raise BadConfig("need at least 3 inliers for a solvable problem")
 
@@ -254,8 +257,8 @@ def generate_correspondences(scene: ScenePair, cfg: CorrespondenceConfig
 
 def add_gaussian_noise(cloud: PointCloud, sigma_pr: float, seed: int) -> PointCloud:
     """Perturb every coordinate by N(0, (sigma_pr * resolution)^2)."""
-    if sigma_pr < 0.0:
-        raise BadConfig("sigma_pr must be >= 0")
+    if not 0.0 <= sigma_pr < math.inf:
+        raise BadConfig("sigma_pr must be >= 0 and finite")
     if sigma_pr == 0.0:
         return PointCloud(cloud.points)
     rng = np.random.default_rng(seed)
@@ -303,9 +306,8 @@ def _hole_survivor_indices(points: np.ndarray, n_holes: int, hole_fraction: floa
         if k <= 0 or alive.size == 0:
             break
         seed_pos = points[alive[rng.integers(alive.size)]]
-        index = build_index(points[alive])
-        removed, _ = index.knn(seed_pos, min(k, alive.size))
-        alive = np.delete(alive, np.sort(removed))
+        removed, _ = _scan_knn(points[alive], seed_pos, min(k, alive.size))
+        alive = np.delete(alive, removed)
     return alive
 
 

@@ -44,7 +44,8 @@ def test_values_spec_forms():
     assert _values_spec("1:3:1") == (1.0, 2.0, 3.0)
     assert _values_spec("4:15:1") == tuple(float(v) for v in range(4, 16))
     assert _values_spec("0.5:1.0:0.25") == (0.5, 0.75, 1.0)
-    for bad in ("", "a,b", "1:2", "1:2:0", "5:1:1", "1:2:3:4"):
+    for bad in ("", "a,b", "1:2", "1:2:0", "5:1:1", "1:2:3:4",
+                "0:inf:1", "-inf:0:1", "0:1e300:1e-300"):
         with pytest.raises(argparse.ArgumentTypeError):
             _values_spec(bad)
 

@@ -269,6 +269,25 @@ def test_transform_parse_errors(tmp_path):
         parse_transform_file(path)
 
 
+def test_transform_file_takes_the_translation_bound(tmp_path):
+    """Transform-file numbers may reach 4 COORD_LIMIT, the translation
+    bound; RigidTransform rejects such a rotation entry."""
+    path = tmp_path / "pose.txt"
+    far = RigidTransform(np.eye(3), [2e75, 0.0, 0.0])
+    write_transform_file(path, far)
+    back = parse_transform_file(path)
+    _same_bits(back.rotation, far.rotation)
+    _same_bits(back.translation, far.translation)
+    path.write_text("1 0 0 0\n0 1 0 5e75\n0 0 1 0\n")
+    with pytest.raises(ParseError,
+                       match="out-of-range coordinate: '5e75'") as excinfo:
+        parse_transform_file(path)
+    assert excinfo.value.line == 2
+    path.write_text("1 0 0 0\n0 1 2e75 0\n0 0 1 0\n")
+    with pytest.raises(ParseError, match="invalid rigid transform"):
+        parse_transform_file(path)
+
+
 # ------------------------------------- one-pass conversion vs per-token parse
 #
 # A frozen copy of the per-token parser that the one-pass conversion

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.stats import chi
 
 from ransacreg import (
@@ -22,7 +23,11 @@ from ransacreg import (
     punch_holes,
     transformation_errors,
 )
-from ransacreg.synth import OUTLIER_CLEARANCE_PR
+from ransacreg.synth import (
+    OUTLIER_CLEARANCE_PR,
+    _hole_survivor_indices,
+    _lattice_points,
+)
 
 
 def blob_scene(n=400, angle=0.8, translation=30.0, seed=5, diameter=100.0):
@@ -59,6 +64,25 @@ def test_correspondence_config_validation():
     with pytest.raises(BadConfig):
         CorrespondenceConfig(n_correspondences=20, inlier_ratio=0.1)
     CorrespondenceConfig(n_correspondences=30, inlier_ratio=0.1)
+
+
+_NON_FINITE_CONFIGS = {
+    "diameter": lambda v: SceneConfig(diameter=v),
+    "gt_rotation_angle": lambda v: SceneConfig(gt_rotation_angle=v),
+    "gt_translation_magnitude":
+        lambda v: SceneConfig(gt_translation_magnitude=v),
+    "inlier_sigma_pr": lambda v: CorrespondenceConfig(
+        n_correspondences=100, inlier_ratio=0.5, inlier_sigma_pr=v),
+    "add_gaussian_noise.sigma_pr":
+        lambda v: add_gaussian_noise(blob_scene(n=50).target, v, seed=0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(_NON_FINITE_CONFIGS))
+def test_non_finite_config_values_are_bad_config(field, value):
+    with pytest.raises(BadConfig):
+        _NON_FINITE_CONFIGS[field](value)
 
 
 def test_scene_pair_validation():
@@ -286,3 +310,57 @@ def test_punch_holes_removes_one_contiguous_neighborhood():
             found_seed = True
             break
     assert found_seed
+
+
+# --------------------------------------------- hole punching vs a k-d tree
+#
+# A frozen copy of hole punching as it was when each hole built a k-d tree
+# over the survivors and asked it for the k nearest: the tree's k-th
+# distance, widened by a relative 1e-9, bounded a ball query whose
+# candidates were re-measured in numpy and ordered by (distance, index).
+
+
+def _tree_knn(points, q, k):
+    tree = cKDTree(points)
+    kth = float(np.atleast_1d(tree.query(q, k=k)[0])[-1])
+    cand = np.asarray(tree.query_ball_point(q, kth * (1.0 + 1e-9)),
+                      dtype=np.intp)
+    d = points[cand] - q
+    dists = np.sqrt(np.einsum("ij,ij->i", d, d))
+    return cand[np.lexsort((cand, dists))[:k]]
+
+
+def _ref_hole_survivors(points, n_holes, hole_fraction, rng):
+    k = round(hole_fraction * points.shape[0])
+    alive = np.arange(points.shape[0])
+    for _ in range(n_holes):
+        if k <= 0 or alive.size == 0:
+            break
+        seed_pos = points[alive[rng.integers(alive.size)]]
+        removed = _tree_knn(points[alive], seed_pos, min(k, alive.size))
+        alive = np.delete(alive, np.sort(removed))
+    return alive
+
+
+def _hole_clouds():
+    rng = np.random.default_rng(75)
+    blob = rng.normal(size=(300, 3)) * 20
+    return {
+        "blob": blob,
+        # unit grid: whole shells of neighbors tie at the k-th distance
+        "lattice": _lattice_points(343),
+        "duplicates": np.vstack([blob[:150], blob[rng.integers(0, 150, 150)]]),
+    }
+
+
+@pytest.mark.parametrize("n_holes, hole_fraction",
+                         [(1, 0.05), (3, 0.02), (4, 0.1), (10, 0.03)])
+@pytest.mark.parametrize("cloud", sorted(_hole_clouds()))
+def test_hole_survivors_match_the_tree_search(cloud, n_holes, hole_fraction):
+    points = _hole_clouds()[cloud]
+    for seed in range(6):
+        got = _hole_survivor_indices(points, n_holes, hole_fraction,
+                                     np.random.default_rng(seed))
+        want = _ref_hole_survivors(points, n_holes, hole_fraction,
+                                   np.random.default_rng(seed))
+        assert np.array_equal(got, want)
