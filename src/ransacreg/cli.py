@@ -80,21 +80,21 @@ def _values_spec(text: str) -> tuple[float, ...]:
 
 
 def _add_metric_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t", type=float, default=7.5,
+    p.add_argument("--t", type=float, default=MetricPlan.t_pr,
                    help="inlier threshold, resolution units (default: %(default)s)")
-    p.add_argument("--m", type=float, default=0.9,
+    p.add_argument("--m", type=float, default=MetricPlan.m,
                    help="quantile weight (default: %(default)s)")
-    p.add_argument("--t-overlap", type=float, default=2.0,
+    p.add_argument("--t-overlap", type=float, default=MetricPlan.t_overlap_pr,
                    help="overlap radius, resolution units (default: %(default)s)")
 
 
 def _add_scene_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-points", type=int, default=10000,
+    p.add_argument("--n-points", type=int, default=SceneConfig.n_points,
                    help="target cloud size (default: %(default)s)")
     p.add_argument("--shape", choices=("random-blob", "lattice"),
-                   default="random-blob",
+                   default=SceneConfig.shape,
                    help="target geometry (default: %(default)s)")
-    p.add_argument("--diameter", type=float, default=100.0,
+    p.add_argument("--diameter", type=float, default=SceneConfig.diameter,
                    help="random-blob diameter, world units (default: %(default)s)")
     p.add_argument("--angle", type=float, default=0.8,
                    help="ground-truth rotation, radians (default: %(default)s)")
@@ -130,7 +130,7 @@ def _build_parser() -> _Parser:
                        help="ground-truth transform file (enables RMSE output)")
     p_reg.add_argument("--format", choices=FORMATS,
                        help="cloud format (default: by file suffix)")
-    p_reg.add_argument("--iterations", type=int, default=1000,
+    p_reg.add_argument("--iterations", type=int, default=RansacConfig.iterations,
                        help="hypothesis budget (default: %(default)s)")
     p_reg.add_argument("--seed", type=int, default=0,
                        help="sampling seed (default: %(default)s)")
@@ -146,16 +146,16 @@ def _build_parser() -> _Parser:
                          help="sweep values: 'a,b,c' or inclusive 'start:stop:step'")
     p_bench.add_argument("--out", required=True, metavar="CSV",
                          help="output report path")
-    p_bench.add_argument("--trials", type=int, default=100,
+    p_bench.add_argument("--trials", type=int, default=EvalConfig.trials,
                          help="seeded trials per cell (default: %(default)s)")
-    p_bench.add_argument("--seed", type=int, default=0,
+    p_bench.add_argument("--seed", type=int, default=EvalConfig.base_seed,
                          help="base seed (default: %(default)s)")
-    p_bench.add_argument("--iterations", type=int, default=1000,
+    p_bench.add_argument("--iterations", type=int, default=EvalConfig.iterations,
                          help="hypothesis budget per run (default: %(default)s)")
-    p_bench.add_argument("--d-rmse", type=float, default=2.5,
+    p_bench.add_argument("--d-rmse", type=float, default=EvalConfig.d_rmse_pr,
                          help="correctness threshold, resolution units "
                               "(default: %(default)s)")
-    p_bench.add_argument("--hole-fraction", type=float, default=0.01,
+    p_bench.add_argument("--hole-fraction", type=float, default=EvalConfig.hole_fraction,
                          help="cloud fraction removed per hole (default: %(default)s)")
     _add_metric_params(p_bench)
     _add_scene_params(p_bench)
@@ -169,7 +169,7 @@ def _build_parser() -> _Parser:
                          help="write the ground-truth transform here")
     p_synth.add_argument("--out-corrs", metavar="FILE",
                          help="also fabricate and write correspondences")
-    p_synth.add_argument("--seed", type=int, default=0,
+    p_synth.add_argument("--seed", type=int, default=SceneConfig.seed,
                          help="scene seed (default: %(default)s)")
     _add_scene_params(p_synth)
     _add_corr_params(p_synth)

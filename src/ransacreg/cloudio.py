@@ -123,15 +123,12 @@ def _to_floats(rows, path: str, limit: float = COORD_LIMIT) -> np.ndarray:
     raise AssertionError(f"{path}: malformed, but no token fails to parse")
 
 
-def _parse_xyz(lines: list[str], path: str) -> PointCloud:
-    points = _to_floats(
+def _parse_xyz(lines: list[str], path: str) -> np.ndarray:
+    return _to_floats(
         lambda: _token_rows(lines, path, 3, "coordinates"), path)
-    if not len(points):
-        raise ParseError("no points found (empty cloud)", path)
-    return PointCloud(points.reshape(-1, 3))
 
 
-def _parse_ply(lines: list[str], path: str) -> PointCloud:
+def _parse_ply(lines: list[str], path: str) -> np.ndarray:
     if not lines or lines[0].strip() != "ply":
         raise ParseError("missing 'ply' magic line", path, 1)
 
@@ -161,6 +158,12 @@ def _parse_ply(lines: list[str], path: str) -> PointCloud:
             except ValueError:
                 raise ParseError(
                     f"bad element count {tokens[2]!r}", path, lineno) from None
+            if count < 0:
+                raise ParseError(
+                    f"negative element count {count}", path, lineno)
+            if (tokens[1] == "vertex"
+                    and any(e[0] == "vertex" for e in elements)):
+                raise ParseError("second vertex element", path, lineno)
             elements.append((tokens[1], count, [], False))
         elif keyword == "property":
             if not elements:
@@ -196,12 +199,9 @@ def _parse_ply(lines: list[str], path: str) -> PointCloud:
             f"vertex element lacks x/y/z properties (has {v_props})",
             path, body_start) from None
 
-    points = _to_floats(
+    return _to_floats(
         lambda: _ply_vertex_rows(lines, elements, body_start, columns, path),
         path)
-    if not len(points):
-        raise ParseError("no points found (empty cloud)", path)
-    return PointCloud(points.reshape(-1, 3))
 
 
 def _ply_vertex_rows(lines: list[str], elements, body_start: int,
@@ -243,10 +243,11 @@ def parse_cloud_file(path, format: str | None = None) -> PointCloud:
     """
     path = str(path)
     format = _resolve_format(path, format)
-    lines = _read_lines(path)
-    if format == "xyz-ascii":
-        return _parse_xyz(lines, path)
-    return _parse_ply(lines, path)
+    parse = _parse_xyz if format == "xyz-ascii" else _parse_ply
+    points = parse(_read_lines(path), path)
+    if not len(points):
+        raise ParseError("no points found (empty cloud)", path)
+    return PointCloud(points.reshape(-1, 3))
 
 
 def parse_correspondence_file(path) -> CorrespondenceSet:

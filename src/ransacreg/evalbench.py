@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BadConfig, EmptyGroundTruth, InvalidInput
+from .errors import BadConfig, EmptyGroundTruth, InvalidInput, InvalidSpec
 from .geom import PointCloud, RigidTransform
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, MetricKind, MetricSpec,
                       _as_kind, _pair_errors, evaluate_hypothesis,
@@ -98,7 +98,10 @@ class MetricPlan:
     """A metric choice with thresholds in resolution units.
 
     Bound to world units per trial via the target cloud's resolution:
-    t = t_pr * pr and t_overlap = t_overlap_pr * pr.
+    t = t_pr * pr and t_overlap = t_overlap_pr * pr. The parameter domains
+    are :class:`MetricSpec`'s, read in resolution units (the spec at
+    pr = 1): a value it rejects raises :class:`BadConfig`, an unknown kind
+    :class:`InvalidSpec`.
     """
 
     kind: MetricKind
@@ -108,13 +111,10 @@ class MetricPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _as_kind(self.kind))
-        if not _positive(self.t_pr):
-            raise BadConfig(f"t_pr must be finite and positive, got {self.t_pr}")
-        if not (0.0 < self.m < 1.0):
-            raise BadConfig(f"m must lie in (0, 1), got {self.m}")
-        if not _positive(self.t_overlap_pr):
-            raise BadConfig(
-                f"t_overlap_pr must be finite and positive, got {self.t_overlap_pr}")
+        try:
+            self.bind(1.0)
+        except InvalidSpec as exc:
+            raise BadConfig(str(exc)) from None
 
     def bind(self, pr: float, t_pr: float | None = None) -> MetricSpec:
         t_eff = self.t_pr if t_pr is None else t_pr

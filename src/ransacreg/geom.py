@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import (DegenerateSample, InsufficientPairs, InvalidInput,
                      TooFewPoints)
-from .spatial import COORD_LIMIT, _as_points, _in_coord_domain, build_index
+from .spatial import (COORD_LIMIT, _as_points, _frozen_points,
+                      _in_coord_domain, build_index)
 
 __all__ = [
     "PointCloud",
@@ -48,9 +49,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(_as_points(self.points), copy=True)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _frozen_points(self.points))
 
     def __len__(self) -> int:
         return self.points.shape[0]

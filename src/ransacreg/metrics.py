@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyCloud, InvalidInput, InvalidSpec, MissingClouds
 from .geom import RigidTransform
-from .spatial import NeighborIndex, _as_points
+from .spatial import NeighborIndex, _as_points, _frozen_points
 
 __all__ = [
     "Correspondence",
@@ -88,8 +88,7 @@ class Correspondence:
 
     def __post_init__(self):
         for name in ("source", "target"):
-            p = np.array(_as_points(getattr(self, name), name, one=True)[0])
-            p.setflags(write=False)
+            p = _frozen_points(getattr(self, name), name, one=True)[0]
             object.__setattr__(self, name, p)
 
 
@@ -107,13 +106,11 @@ class CorrespondenceSet:
     targets: np.ndarray
 
     def __post_init__(self):
-        src = np.array(_as_points(self.sources, "sources"), copy=True)
-        tgt = np.array(_as_points(self.targets, "targets"), copy=True)
+        src = _frozen_points(self.sources, "sources")
+        tgt = _frozen_points(self.targets, "targets")
         if src.shape != tgt.shape:
             raise InvalidInput(
                 f"sources/targets must pair up, got {src.shape} vs {tgt.shape}")
-        src.setflags(write=False)
-        tgt.setflags(write=False)
         object.__setattr__(self, "sources", src)
         object.__setattr__(self, "targets", tgt)
 

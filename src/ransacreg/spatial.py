@@ -66,6 +66,14 @@ def _as_points(points, name: str = "points", *, one: bool = False
     return pts
 
 
+def _frozen_points(points, name: str = "points", *, one: bool = False
+                   ) -> np.ndarray:
+    """A read-only copy of `_as_points(points, name, one=one)`."""
+    pts = np.array(_as_points(points, name, one=one), copy=True)
+    pts.setflags(write=False)
+    return pts
+
+
 def _scan_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Distances from q to every row of points, the reference formula."""
     d = points - q
@@ -146,9 +154,7 @@ def build_index(cloud) -> NeighborIndex:
     Raises :class:`EmptyCloud` for an empty input and :class:`InvalidInput`
     (also a ValueError) for malformed points.
     """
-    pts = _as_points(cloud, "cloud")
+    pts = _frozen_points(cloud, "cloud")
     if pts.shape[0] == 0:
         raise EmptyCloud("cannot index an empty cloud")
-    pts = np.array(pts, copy=True)
-    pts.setflags(write=False)
     return NeighborIndex(points=pts, _tree=cKDTree(pts))

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BadConfig, InvalidInput
 from .geom import PointCloud, RigidTransform, rotation_about_axis
 from .metrics import CorrespondenceSet
-from .spatial import _as_array, _as_points, _scan_knn
+from .spatial import _as_array, _as_points, _frozen_points, _scan_knn
 
 __all__ = [
     "CorrespondenceConfig",
@@ -52,10 +52,11 @@ class SceneConfig:
 
     `shape` picks the target geometry: "random-blob" is uniform inside a
     ball of the given diameter, "lattice" is a unit-spaced grid (its
-    resolution is exactly 1), "file" uses the supplied `points`. The
+    resolution is exactly 1), "file" uses the supplied `points`: at least
+    10 rows that pass the point boundary, kept as a read-only copy. The
     ground-truth pose rotates by `gt_rotation_angle` about a seeded random
     axis and translates by `gt_translation_magnitude` along a seeded
-    random direction.
+    random direction. Invalid fields raise :class:`BadConfig`.
     """
 
     n_points: int = 10000
@@ -72,6 +73,13 @@ class SceneConfig:
         if self.shape == "file":
             if self.points is None:
                 raise BadConfig("shape 'file' needs explicit points")
+            try:
+                points = _frozen_points(self.points)
+            except InvalidInput as exc:
+                raise BadConfig(str(exc)) from None
+            if points.shape[0] < 10:
+                raise BadConfig("file-shaped scenes need at least 10 points")
+            object.__setattr__(self, "points", points)
         elif self.n_points < 10:
             raise BadConfig(f"n_points must be >= 10, got {self.n_points}")
         if not 0.0 < self.diameter < math.inf:
@@ -80,6 +88,8 @@ class SceneConfig:
             raise BadConfig("rotation angle must be finite")
         if not 0.0 <= self.gt_translation_magnitude < math.inf:
             raise BadConfig("translation magnitude must be >= 0 and finite")
+        if self.seed < 0:
+            raise BadConfig(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,8 @@ class CorrespondenceConfig:
             raise BadConfig("inlier_sigma_pr must be >= 0 and finite")
         if round(self.n_correspondences * self.inlier_ratio) < 3:
             raise BadConfig("need at least 3 inliers for a solvable problem")
+        if self.seed < 0:
+            raise BadConfig(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,11 +203,7 @@ def generate_scene(cfg: SceneConfig) -> ScenePair:
     elif cfg.shape == "lattice":
         target_pts = _lattice_points(cfg.n_points)
     else:
-        target_pts = np.asarray(cfg.points, dtype=np.float64)
-        if target_pts.ndim != 2 or target_pts.shape[1] != 3:
-            raise BadConfig(f"points must have shape (N, 3), got {target_pts.shape}")
-        if target_pts.shape[0] < 10:
-            raise BadConfig("file-shaped scenes need at least 10 points")
+        target_pts = cfg.points
 
     target = PointCloud(target_pts)
     source = PointCloud(gt.inverse().apply(target.points))

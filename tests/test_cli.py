@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -69,6 +70,30 @@ def test_help_exits_zero(capsys):
     code, out, err = run_cli(capsys, "--help")
     assert code == 0
     assert "register" in out and "bench" in out
+
+
+_BENCH_DEFAULTS = {
+    "--trials": "100", "--seed": "0", "--iterations": "1000",
+    "--d-rmse": "2.5", "--hole-fraction": "0.01", "--t": "7.5", "--m": "0.9",
+    "--t-overlap": "2.0", "--n-points": "10000", "--shape": "random-blob",
+    "--diameter": "100.0", "--angle": "0.8", "--translation": "30.0",
+    "--n-corrs": "1000", "--inlier-ratio": "0.5", "--sigma": "1.0",
+}
+
+
+def test_bench_help_shows_the_defaults(capsys, monkeypatch):
+    """The flags that read their default from the library show the same
+    values as the literals they replaced."""
+    monkeypatch.setenv("COLUMNS", "200")  # one help entry per line
+    code, out, err = run_cli(capsys, "bench", "--help")
+    assert code == 0
+    shown, flag = {}, None
+    for line in out.splitlines():
+        if m := re.match(r"\s+(--[\w-]+)", line):
+            flag = m.group(1)
+        if d := re.search(r"\(default: ([^)]*)\)", line):
+            shown[flag] = d.group(1)
+    assert shown == _BENCH_DEFAULTS
 
 
 def test_unknown_metric_is_usage_error(capsys, tmp_path):

@@ -150,7 +150,9 @@ def test_ply_skips_other_elements(tmp_path):
         "property list uchar int vertex_indices\n"
         "end_header\n"
         "1 2 3\n"
+        "\n"  # blank and whitespace-only body lines are skipped
         "4 5 6\n"
+        "  \n"
         "3 0 1 2\n"
         "3 0 2 3\n")
     cloud = parse_cloud_file(path)
@@ -193,6 +195,25 @@ def test_ply_rejects_vertex_list_property(tmp_path):
      "property double y\nproperty double z\nend_header\n1 2 3 4\n",
      "expected 3 values, got 4"),
     ("ply\nformat wacky 1.0\n", "unknown PLY format"),
+    ("ply\nformat\n", ":2: malformed format line"),
+    ("ply\nformat ascii 1.0\nelement vertex\n", ":3: malformed element line"),
+    ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float\n",
+     ":4: malformed property line"),
+    ("ply\nformat ascii 1.0\nelement vertex 0\nproperty double x\n"
+     "property double y\nproperty double z\nend_header\n",
+     "no points found"),
+    ("ply\nformat ascii 1.0\nelement vertex -3\nproperty double x\n"
+     "property double y\nproperty double z\nend_header\n",
+     ":3: negative element count -3"),
+    ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+     "property double y\nproperty double z\nelement face -2\n"
+     "property list uchar int vertex_indices\nend_header\n1 2 3\n",
+     ":7: negative element count -2"),
+    ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+     "property double y\nproperty double z\nelement vertex 1\n"
+     "property double q\nproperty double x\nproperty double y\n"
+     "property double z\nend_header\n1 2 3\n9 1 2 3\n",
+     ":7: second vertex element"),
 ])
 def test_ply_parse_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.ply"

@@ -251,6 +251,8 @@ def test_score_errors_matches_scalar_bitwise():
         vec = score_errors(spec, e)
         for j in (0, 17, 150, 200, 201, 202):
             assert score_correspondence(spec, e[j]) == vec[j]
+        # a 2-D error array is scored flattened, in row-major order
+        np.testing.assert_array_equal(score_errors(spec, e.reshape(7, 29)), vec)
 
 
 def test_score_errors_validates():

@@ -66,6 +66,16 @@ def test_correspondence_config_validation():
     CorrespondenceConfig(n_correspondences=30, inlier_ratio=0.1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SceneConfig(seed=-1),
+    lambda: CorrespondenceConfig(n_correspondences=100, inlier_ratio=0.5,
+                                 seed=-1),
+], ids=["SceneConfig", "CorrespondenceConfig"])
+def test_negative_seed_is_bad_config(make):
+    with pytest.raises(BadConfig, match="seed must be non-negative"):
+        make()
+
+
 _NON_FINITE_CONFIGS = {
     "diameter": lambda v: SceneConfig(diameter=v),
     "gt_rotation_angle": lambda v: SceneConfig(gt_rotation_angle=v),
@@ -153,6 +163,21 @@ def test_file_scene_uses_points_verbatim():
         generate_scene(SceneConfig(shape="file", points=pts[:5]))
     with pytest.raises(BadConfig):
         generate_scene(SceneConfig(shape="file", points=np.zeros((12, 2))))
+
+
+def test_file_points_pass_the_point_boundary_and_are_frozen():
+    pts = np.random.default_rng(71).normal(size=(40, 3)) * 10
+    with pytest.raises(BadConfig, match="numeric"):
+        SceneConfig(shape="file", points=pts.astype(str))
+    with pytest.raises(BadConfig, match="outside"):
+        SceneConfig(shape="file", points=np.vstack([pts, [[np.nan] * 3]]))
+    cfg = SceneConfig(shape="file", points=pts, seed=1, gt_rotation_angle=0.2)
+    want = generate_scene(cfg)
+    pts[:] = 0.0
+    got = generate_scene(cfg)
+    np.testing.assert_array_equal(got.target.points, want.target.points)
+    np.testing.assert_array_equal(got.source.points, want.source.points)
+    assert not cfg.points.flags.writeable
 
 
 # --------------------------------------------------------- correspondences
