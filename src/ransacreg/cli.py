@@ -26,7 +26,7 @@ from .evalbench import (EvalConfig, MetricPlan, SWEEP_AXES, rmse,
 from .metrics import CLOUD_KINDS, CorrespondenceSet, MetricKind
 from .ransac import RansacConfig, run_ransac
 from .spatial import build_index
-from .synth import (CorrespondenceConfig, SceneConfig,
+from .synth import (SHAPES, CorrespondenceConfig, SceneConfig,
                     generate_correspondences, generate_scene)
 
 __all__ = ["CSV_HEADER", "entry", "main"]
@@ -91,7 +91,7 @@ def _add_metric_params(p: argparse.ArgumentParser) -> None:
 def _add_scene_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-points", type=int, default=SceneConfig.n_points,
                    help="target cloud size (default: %(default)s)")
-    p.add_argument("--shape", choices=("random-blob", "lattice"),
+    p.add_argument("--shape", choices=[s for s in SHAPES if s != "file"],
                    default=SceneConfig.shape,
                    help="target geometry (default: %(default)s)")
     p.add_argument("--diameter", type=float, default=SceneConfig.diameter,

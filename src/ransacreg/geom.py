@@ -152,8 +152,10 @@ def rotation_about_axis(axis, angle: float) -> np.ndarray:
 def triangle_area(a, b, c) -> float:
     """Area of the triangle spanned by three 3D points.
 
-    Scalar arithmetic: this sits on the RANSAC sampling hot path, where
-    array-API cross products cost more than the whole draw.
+    Scalar arithmetic: `sample_minimal` calls this once per draw, where
+    array-API cross products cost more than the whole draw. The engine
+    computes the same expression elementwise (`_triangle_areas`), so every
+    area it tests is bit-equal to this one.
     """
     ux = float(b[0]) - float(a[0])
     uy = float(b[1]) - float(a[1])
@@ -165,6 +167,17 @@ def triangle_area(a, b, c) -> float:
     cy = uz * vx - ux * vz
     cz = ux * vy - uy * vx
     return 0.5 * math.sqrt(cx * cx + cy * cy + cz * cz)
+
+
+def _triangle_areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """`triangle_area` of each row of three (m, 3) float64 arrays: the same
+    operations in the same order, so each area is bit-equal to the scalar."""
+    u = b - a
+    v = c - a
+    cx = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
+    cy = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
+    cz = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
 
 
 def cloud_resolution(cloud) -> float:

@@ -14,9 +14,11 @@ specs from one shared error or nearest-neighbour pass. `run_ransac` is the
 two steps with one spec plus an argmax; the benchmark harness scores one
 stream under every metric and sweep value.
 
-Internally the per-iteration solves run through a batched kernel whose
-arithmetic matches the public solver element for element, so replaying
-the trace with `sample_minimal` + `estimate_rigid_transform` +
+Internally the samples are decoded in bulk from the generator's raw
+output, bit-equal to the `sample_minimal` loop that defines them, and the
+per-iteration solves run through a batched kernel whose arithmetic
+matches the public solver element for element, so replaying the trace
+with `sample_minimal` + `estimate_rigid_transform` +
 `evaluate_hypothesis` reproduces the result bit-exactly.
 """
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import BadConfig, PersistentDegeneracy, TooFewCorrespondences
 from .geom import (RigidTransform, _degeneracy_threshold, _estimate_rigid_batch,
-                   triangle_area)
+                   _triangle_areas, triangle_area)
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, HypothesisScore,
                       MetricSpec, _cloud_points, _cloud_values_batch,
                       _corr_values_batch)
@@ -105,6 +107,11 @@ def sample_minimal(corrs: CorrespondenceSet, rng: np.random.Generator, *,
     rejected and redrawn, up to `degeneracy_retries` extra attempts. The
     generator advances in place, fixing the sample sequence for a seed.
 
+    This is the definition of the engine's sample sequence and the one
+    replay uses: iteration i of a run seeded with `seed` draws what the
+    i-th call on `np.random.default_rng(seed)` returns. The engine decodes
+    the same draws in bulk (`_sample_triples`).
+
     Raises :class:`TooFewCorrespondences` below 3 items and
     :class:`PersistentDegeneracy` when every attempt was degenerate.
     """
@@ -122,24 +129,97 @@ def sample_minimal(corrs: CorrespondenceSet, rng: np.random.Generator, *,
         f"no non-collinear sample in {degeneracy_retries + 1} attempts")
 
 
+# `Generator.choice(n, 3, replace=False)` (numpy 2.4, PCG64) spends five
+# Lemire-bounded 32-bit words per call: Floyd's algorithm over [0, n-3],
+# [0, n-2] and [0, n-1], then a shuffle over [0, 2] and [0, 1]. Word w maps
+# to (w * bound) >> 32 and is redrawn when (w * bound) mod 2**32 falls
+# below 2**32 mod bound. PCG64 serves each 64-bit output low half first,
+# and its leftover high half to the next call.
+def _decode_choices(raw: np.ndarray, n: int) -> np.ndarray | None:
+    """The (2 * raw.size / 5, 3) triples that consecutive
+    `choice(n, 3, replace=False)` calls return while they consume these
+    raw outputs, or None when a Lemire rejection would redraw a word."""
+    words = np.empty((raw.size, 2), dtype=np.uint64)
+    words[:, 0] = raw & 0xFFFFFFFF
+    words[:, 1] = raw >> 32
+    bounds = np.array([n - 2, n - 1, n, 3, 2], dtype=np.uint64)
+    m = words.reshape(-1, 5) * bounds
+    if np.any((m & 0xFFFFFFFF) < (1 << 32) % bounds):
+        return None
+    v = (m >> 32).astype(np.intp)
+    # Floyd's collision fix: a repeated draw j takes the top of its range.
+    first = v[:, 0]
+    second = np.where(v[:, 1] == first, n - 2, v[:, 1])
+    third = np.where((v[:, 2] == first) | (v[:, 2] == second), n - 1, v[:, 2])
+    triples = np.column_stack([first, second, third])
+    rows = np.arange(triples.shape[0])
+    for i, j in ((2, v[:, 3]), (1, v[:, 4])):  # swap data[j] and data[i]
+        swapped = triples[rows, j]
+        triples[rows, j] = triples[:, i]
+        triples[:, i] = swapped
+    return triples
+
+
+def _sample_triples(corrs: CorrespondenceSet, seed: int, iterations: int,
+                    retries: int, min_area: float) -> np.ndarray:
+    """The (iterations, 3) triples that `iterations` calls of
+    `sample_minimal(corrs, np.random.default_rng(seed),
+    min_triangle_area=min_area, degeneracy_retries=retries)` return, bit
+    for bit, decoded in bulk from the generator's raw output.
+
+    The loop's candidates are consecutive independent `choice` calls, so
+    blocks of them are decoded at once and the degenerate ones masked;
+    iteration i takes the i-th accepted candidate, and PersistentDegeneracy
+    is raised where `retries + 1` consecutive rejections fall inside one
+    iteration. A Lemire rejection in a decoded word and n = 3 (whose first
+    Floyd draw takes no word) run the loop itself on a fresh generator.
+    """
+    n = corrs.n
+    src = corrs.sources
+    bitgen = np.random.default_rng(seed).bit_generator
+    triples = np.empty((0, SAMPLE_SIZE), dtype=np.intp)
+    accepted = np.empty(0, dtype=bool)
+    while n > SAMPLE_SIZE:
+        need = iterations - np.count_nonzero(accepted)
+        # An even candidate count spends whole raw outputs, 5 words per 2.
+        count = 2 * (need // 2 + need // 16 + 4)
+        block = _decode_choices(bitgen.random_raw(count * 5 // 2), n)
+        if block is None:
+            break
+        triples = np.concatenate([triples, block])
+        accepted = np.concatenate([accepted, _triangle_areas(
+            src[block[:, 0]], src[block[:, 1]], src[block[:, 2]]) > min_area])
+        kept = np.flatnonzero(accepted)
+        # Rejections before each accepted candidate, then after the last.
+        runs = np.diff(kept, prepend=-1, append=accepted.size) - 1
+        if np.any(runs[:iterations] > retries):
+            raise PersistentDegeneracy(
+                f"no non-collinear sample in {retries + 1} attempts")
+        if kept.size >= iterations:
+            return triples[kept[:iterations]]
+    rng = np.random.default_rng(seed)
+    triples = np.empty((iterations, SAMPLE_SIZE), dtype=np.intp)
+    for i in range(iterations):
+        triples[i] = sample_minimal(corrs, rng, min_triangle_area=min_area,
+                                    degeneracy_retries=retries)
+    return triples
+
+
 def _sample_hypotheses(corrs: CorrespondenceSet, seed: int, iterations: int,
                        degeneracy_retries: int = 100
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `iterations` minimal samples with a generator seeded by `seed`
     and solve each: the stream's (rotations (H, 3, 3), translations (H, 3)).
 
-    Row i is iteration i's hypothesis, so the first k rows do not depend
-    on the budget.
+    The samples are `sample_minimal`'s sequence, which replay uses;
+    `_sample_triples` decodes the same draws in bulk. Row i is iteration
+    i's hypothesis, so the first k rows do not depend on the budget.
     """
     if corrs.n < SAMPLE_SIZE:
         raise TooFewCorrespondences(
             f"need >= {SAMPLE_SIZE} correspondences, got {corrs.n}")
-    rng = np.random.default_rng(seed)
-    min_area = _degeneracy_threshold(corrs.sources)
-    triples = np.empty((iterations, SAMPLE_SIZE), dtype=np.intp)
-    for i in range(iterations):
-        triples[i] = sample_minimal(corrs, rng, min_triangle_area=min_area,
-                                    degeneracy_retries=degeneracy_retries)
+    triples = _sample_triples(corrs, seed, iterations, degeneracy_retries,
+                              _degeneracy_threshold(corrs.sources))
     return _estimate_rigid_batch(corrs.sources[triples], corrs.targets[triples])
 
 

@@ -46,7 +46,7 @@ OUTLIER_CLEARANCE_PR = 15.0
 _MAX_OUTLIER_ROUNDS = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneConfig:
     """Recipe for one registration scene.
 
@@ -56,7 +56,8 @@ class SceneConfig:
     10 rows that pass the point boundary, kept as a read-only copy. The
     ground-truth pose rotates by `gt_rotation_angle` about a seeded random
     axis and translates by `gt_translation_magnitude` along a seeded
-    random direction. Invalid fields raise :class:`BadConfig`.
+    random direction. Invalid fields raise :class:`BadConfig`. Configs
+    compare and hash by identity, because a file scene holds an array.
     """
 
     n_points: int = 10000

@@ -19,14 +19,19 @@ from ransacreg import (
     PointCloud,
     RansacConfig,
     TooFewCorrespondences,
+    CorrespondenceConfig,
+    SceneConfig,
     build_index,
     estimate_rigid_transform,
     evaluate_hypothesis,
+    generate_correspondences,
+    generate_scene,
     run_ransac,
     sample_minimal,
     triangle_area,
 )
 from ransacreg import metrics as metrics_module
+from ransacreg import ransac as ransac_module
 from ransacreg.geom import _degeneracy_threshold
 from ransacreg.ransac import SAMPLE_SIZE
 
@@ -119,6 +124,116 @@ def test_sample_minimal_skips_degenerate_triples():
         idx = sample_minimal(corrs, rng)
         area = triangle_area(src[idx[0]], src[idx[1]], src[idx[2]])
         assert area > min_area
+
+
+# ------------------------------------------------- bulk sampling decode
+#
+# The engine decodes sample_minimal's draws from the generator's raw output
+# (ransac._sample_triples), which mirrors numpy's Generator.choice. These
+# tests compare it with the sample_minimal loop bit for bit; they are the
+# ones that fail when a numpy upgrade changes choice, which would otherwise
+# move every hypothesis stream without notice.
+
+
+def _loop_triples(corrs, seed, iterations, retries, min_area):
+    rng = np.random.default_rng(seed)
+    return np.array([sample_minimal(corrs, rng, min_triangle_area=min_area,
+                                     degeneracy_retries=retries)
+                     for _ in range(iterations)])
+
+
+def _degenerate_heavy_set():
+    """Collinear and duplicated points with a few off the line: most
+    triples are degenerate, several often in a row."""
+    line = np.column_stack([np.arange(12.0), np.zeros(12), np.zeros(12)])
+    off = np.array([[0.0, 5.0, 0.0], [3.0, 0.0, 4.0], [7.0, 2.0, 1.0]])
+    src = np.vstack([line, line[:6], off])
+    return CorrespondenceSet(src, src)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 1000, 100_000])
+def test_bulk_sampling_matches_the_sample_minimal_loop(n):
+    """_sample_triples returns what 1000 sample_minimal calls return, for
+    40 seeds. The decode is numpy's choice(n, 3, replace=False) for
+    numpy 2.4 (Floyd's algorithm, then a two-step shuffle, five bounded
+    32-bit words per call): if this fails after a numpy upgrade, choice
+    has changed and the decode must follow it (or be removed)."""
+    src = np.random.default_rng(n).normal(size=(n, 3)) * 50.0
+    corrs = CorrespondenceSet(src, src)
+    min_area = _degeneracy_threshold(corrs.sources)
+    for seed in range(40):
+        np.testing.assert_array_equal(
+            ransac_module._sample_triples(corrs, seed, 1000, 100, min_area),
+            _loop_triples(corrs, seed, 1000, 100, min_area))
+
+
+@pytest.mark.parametrize("shape", ["random-blob", "lattice"])
+def test_bulk_sampling_matches_the_loop_on_scene_correspondences(shape):
+    scene = generate_scene(SceneConfig(n_points=2000, shape=shape, seed=3))
+    corrs, _ = generate_correspondences(
+        scene, CorrespondenceConfig(n_correspondences=500, inlier_ratio=1.0,
+                                    seed=4))
+    min_area = _degeneracy_threshold(corrs.sources)
+    for seed in range(10):
+        np.testing.assert_array_equal(
+            ransac_module._sample_triples(corrs, seed, 1000, 100, min_area),
+            _loop_triples(corrs, seed, 1000, 100, min_area))
+
+
+@pytest.mark.parametrize("min_area", [0.0, None])
+def test_bulk_sampling_masks_degenerate_candidates_like_the_loop(min_area):
+    """Most candidates are degenerate, many iterations redraw several times,
+    and at min_area = 0 the duplicates' exact zero areas sit on the bound."""
+    corrs = _degenerate_heavy_set()
+    if min_area is None:
+        min_area = _degeneracy_threshold(corrs.sources)
+    for seed in range(20):
+        np.testing.assert_array_equal(
+            ransac_module._sample_triples(corrs, seed, 300, 100, min_area),
+            _loop_triples(corrs, seed, 300, 100, min_area))
+
+
+def test_bulk_sampling_falls_back_to_the_loop_on_a_lemire_rejection(
+        monkeypatch):
+    """Seed 59 at n = 100 000 draws a word that numpy's bounded-integer
+    step rejects and redraws; the decode detects it and the loop runs."""
+    decoded = []
+
+    def spy(raw, n):
+        block = decode(raw, n)
+        decoded.append(block is not None)
+        return block
+
+    decode = ransac_module._decode_choices
+    monkeypatch.setattr(ransac_module, "_decode_choices", spy)
+    src = np.random.default_rng(5).normal(size=(100_000, 3))
+    corrs = CorrespondenceSet(src, src)
+    triples = ransac_module._sample_triples(corrs, 59, 1000, 100, 0.0)
+    assert decoded == [False]
+    np.testing.assert_array_equal(triples,
+                                  _loop_triples(corrs, 59, 1000, 100, 0.0))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bulk_sampling_raises_persistent_degeneracy_where_the_loop_does(seed):
+    """With 3 attempts per iteration, the loop fails at some iteration k:
+    the bulk decode returns the same k triples for a budget of k and raises
+    the same error for a budget of k + 1."""
+    corrs = _degenerate_heavy_set()
+    rng = np.random.default_rng(seed)
+    loop_triples = []
+    with pytest.raises(PersistentDegeneracy) as loop_exc:
+        for _ in range(10_000):
+            loop_triples.append(sample_minimal(
+                corrs, rng, min_triangle_area=0.0, degeneracy_retries=2))
+    k = len(loop_triples)
+    if k:
+        np.testing.assert_array_equal(
+            ransac_module._sample_triples(corrs, seed, k, 2, 0.0),
+            np.array(loop_triples))
+    with pytest.raises(PersistentDegeneracy) as bulk_exc:
+        ransac_module._sample_triples(corrs, seed, k + 1, 2, 0.0)
+    assert str(bulk_exc.value) == str(loop_exc.value)
 
 
 # ---------------------------------------------------------------- run loop

@@ -180,6 +180,17 @@ def test_file_points_pass_the_point_boundary_and_are_frozen():
     assert not cfg.points.flags.writeable
 
 
+def test_file_scene_configs_compare_and_hash_by_identity():
+    """A file config holds an array, so value equality would ask numpy for
+    the truth value of an array; configs compare by identity instead."""
+    pts = np.random.default_rng(72).normal(size=(40, 3)) * 10
+    a = SceneConfig(shape="file", points=pts)
+    b = SceneConfig(shape="file", points=pts)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+
+
 # --------------------------------------------------------- correspondences
 
 
