@@ -199,11 +199,8 @@ def _cmd_register(args) -> int:
                       args.t_overlap).bind(target.resolution)
     config = RansacConfig(metric=spec, seed=args.seed,
                           iterations=args.iterations)
-    if spec.kind in CLOUD_KINDS:
-        result = run_ransac(config, corrs, source=source,
-                            target_index=build_index(target))
-    else:
-        result = run_ransac(config, corrs)
+    index = build_index(target) if spec.kind in CLOUD_KINDS else None
+    result = run_ransac(config, corrs, source=source, target_index=index)
     for row in result.best_transform.matrix3x4():
         print(" ".join(format(v, ".9g") for v in row))
     print(f"score {spec.kind} {result.best_score.value:.6g}")

@@ -6,17 +6,18 @@ when its RMSE (here: the MEAN of per-pair Euclidean errors under the
 estimated pose, taken over the true correspondences) falls strictly below
 d_rmse resolution units.
 
-Seeding: every trial derives scene/correspondence/engine/nuisance seeds
-from (base_seed, trial index, role) only, never from the swept value,
-so all sweep values and all metrics of one trial face the same scene and
-the same hypothesis stream. Each trial therefore samples and solves one
-stream at the largest budget (one per sweep value on the axes that change
-the correspondences) and every (metric, value) cell only re-scores it: a
-`t` value is one more spec scored from the shared error pass, an
-`iterations` value an argmax over a prefix of the stream, and a `d_rmse`
-value a re-threshold of the same registration. Threshold-like quantities
-(t, t_overlap, d_rmse) are configured in resolution units and bound to the
-resolution of the (possibly degraded) target cloud of each trial.
+A sweep runs in three stages. `_trials` yields one record per (trial,
+stream group): the true pairs, the target's resolution and index, the
+correspondences and one hypothesis stream, solved at the sweep's largest
+budget once for all values (once per value on the axes that change the
+correspondences). One shared scoring pass scores the stream under every
+distinct (metric, value) spec. Each cell then grades its own winner into
+running sums: a `t` value is one more spec, an `iterations` value an
+argmax over a prefix of the stream, a `d_rmse` value a re-threshold of
+the same registration. Seeds derive from (base_seed, trial index, role)
+only, never from the swept value, so all values and metrics of one trial
+face the same scene and stream. Thresholds (t, t_overlap, d_rmse) are set
+in resolution units, bound to each trial's (possibly degraded) target.
 """
 
 from __future__ import annotations
@@ -169,15 +170,12 @@ class ExperimentRow:
     accuracy = correct trials / trials. mean_rmse_pr averages RMSE (in
     resolution units) over the CORRECT trials only (NaN when none).
     mean_eval_time_s is the average scoring wall time per registered pair:
-    the time the trial's shared error (or nearest-neighbour) pass over the
-    stream held up the scoring thread, including the extraction of
-    sub-threshold candidate errors that the zero-outlier kinds reduce,
-    plus this cell's own reduction (for those kinds, only over its own
-    inliers), prorated to the cell's share of the stream on the iterations
-    axis. The error kernel runs on a helper thread, one chunk ahead of the
-    reductions, so only the part of it that the reductions did not overlap
-    is counted. It is not the cost of a separate RANSAC run, since
-    sampling and solving are shared and excluded.
+    the part of the trial's shared error (or nearest-neighbour) pass that
+    held up the scoring thread (the kernel runs one chunk ahead on a helper
+    thread; the zero-outlier kinds' candidate extraction counts in full)
+    plus this cell's own reduction, prorated to the cell's share of the
+    stream on the iterations axis. Sampling and solving are shared and
+    excluded, so it is not the cost of a separate RANSAC run.
     index_build_time_s is the average target-index build time per pair (0
     for correspondence metrics).
     """
@@ -207,21 +205,65 @@ def _degrade_scene(scene: ScenePair, axis: str, value: float,
     if axis == "noise":
         target = add_gaussian_noise(scene.target, value, seed)
         kept = np.arange(len(target))
-    elif axis == "decimation-uniform":
-        kept = _uniform_keep_indices(len(scene.target), value)
-        target = scene.target.select(kept)
-    elif axis == "decimation-random":
-        rng = np.random.default_rng(seed)
-        kept = _random_keep_indices(len(scene.target), value, rng)
-        target = scene.target.select(kept)
-    else:  # holes
-        rng = np.random.default_rng(seed)
-        kept = _hole_survivor_indices(scene.target.points, int(round(value)),
-                                      hole_fraction, rng)
+    else:  # the other nuisances keep a subset of the points
+        if axis == "decimation-uniform":
+            kept = _uniform_keep_indices(len(scene.target), value)
+        elif axis == "decimation-random":
+            kept = _random_keep_indices(len(scene.target), value,
+                                        np.random.default_rng(seed))
+        else:  # holes
+            kept = _hole_survivor_indices(
+                scene.target.points, int(round(value)), hole_fraction,
+                np.random.default_rng(seed))
         target = scene.target.select(kept)
     pairs = np.stack([scene.pair_sources[kept], target.points], axis=1)
-    return ScenePair(source=scene.source, target=target, gt=scene.gt,
-                     gt_pairs=pairs)
+    return replace(scene, target=target, gt_pairs=pairs)
+
+
+@dataclass(frozen=True)
+class _Trial:
+    """One (trial, stream group) record: what grading its cells reads."""
+
+    value_indices: tuple[int, ...]  # the sweep values sharing the stream
+    pr: float  # resolution of the (possibly degraded) target
+    source: PointCloud
+    corrs: CorrespondenceSet
+    index: NeighborIndex | None  # target index; None without cloud metrics
+    build_s: float  # read only when the index is built
+    gt_pairs: np.ndarray  # the clean scene's true pairs, graded by rmse
+    rotations: np.ndarray
+    translations: np.ndarray
+
+
+def _trials(cfg: EvalConfig, scene_cfg: SceneConfig,
+            corr_cfg: CorrespondenceConfig):
+    """Yield one :class:`_Trial` per (trial, stream group), in trial order."""
+    axis, values = cfg.sweep_axis, cfg.sweep_values
+    budget = int(round(values[-1])) if axis == "iterations" else cfg.iterations
+    needs_cloud = any(p.kind in CLOUD_KINDS for p in cfg.metrics)
+    indices = tuple(range(len(values)))
+    per_value = axis in _DATA_AXES or axis == "inlier_ratio"
+    groups = [(vi,) for vi in indices] if per_value else [indices]
+    for trial in range(cfg.trials):
+        seed = partial(_derive_seed, cfg.base_seed, trial)
+        clean = generate_scene(replace(scene_cfg, seed=seed(_ROLE_SCENE)))
+        for group in groups:
+            value = values[group[0]]
+            scene = clean
+            if axis in _DATA_AXES:
+                scene = _degrade_scene(clean, axis, value, cfg.hole_fraction,
+                                       seed(_ROLE_NUISANCE))
+            ratio = value if axis == "inlier_ratio" else corr_cfg.inlier_ratio
+            corrs, _ = generate_correspondences(scene, replace(
+                corr_cfg, inlier_ratio=ratio, seed=seed(_ROLE_CORR)))
+            t0 = time.perf_counter()
+            index = build_index(scene.target) if needs_cloud else None
+            build_s = time.perf_counter() - t0
+            rotations, translations = _sample_hypotheses(
+                corrs, seed(_ROLE_RANSAC), budget)
+            yield _Trial(group, scene.target.resolution, scene.source, corrs,
+                         index, build_s, clean.gt_pairs, rotations,
+                         translations)
 
 
 def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
@@ -234,90 +276,48 @@ def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
     fixed configuration, and equals what one `run_ransac` call per
     (trial, metric, value) would give.
     """
-    axis = cfg.sweep_axis
-    values = cfg.sweep_values
-    n_values = len(values)
-    needs_cloud = any(p.kind in CLOUD_KINDS for p in cfg.metrics)
+    axis, values = cfg.sweep_axis, cfg.sweep_values
     budgets = [int(round(v)) if axis == "iterations" else cfg.iterations
                for v in values]
     if min(budgets) < 1:
         raise BadConfig(f"iterations must be >= 1, got {min(budgets)}")
-    budget = max(budgets)
-    # Axes that change the correspondences need one stream per value.
-    if axis in _DATA_AXES or axis == "inlier_ratio":
-        groups = [[vi] for vi in range(n_values)]
-    else:
-        groups = [list(range(n_values))]
-
-    # One outcome per trial for each (metric, value) cell: (RMSE, pr, eval
-    # seconds, index-build seconds).
-    outcomes = {(mi, vi): [] for mi in range(len(cfg.metrics))
-                for vi in range(n_values)}
-
-    for trial in range(cfg.trials):
-        clean = generate_scene(replace(
-            scene_cfg, seed=_derive_seed(cfg.base_seed, trial, _ROLE_SCENE)))
-        for group in groups:
-            value = values[group[0]]
-            effective = clean
-            if axis in _DATA_AXES:
-                effective = _degrade_scene(
-                    clean, axis, value, cfg.hole_fraction,
-                    _derive_seed(cfg.base_seed, trial, _ROLE_NUISANCE))
-            ratio = value if axis == "inlier_ratio" else corr_cfg.inlier_ratio
-            corrs, _ = generate_correspondences(effective, replace(
-                corr_cfg, inlier_ratio=ratio,
-                seed=_derive_seed(cfg.base_seed, trial, _ROLE_CORR)))
-            pr = effective.target.resolution
-            index, build_s = None, 0.0
-            if needs_cloud:
-                t0 = time.perf_counter()
-                index = build_index(effective.target)
-                build_s = time.perf_counter() - t0
-
-            rotations, translations = _sample_hypotheses(
-                corrs, _derive_seed(cfg.base_seed, trial, _ROLE_RANSAC), budget)
-            cells = {(mi, vi): plan.bind(pr, values[vi] if axis == "t" else None)
-                     for mi, plan in enumerate(cfg.metrics) for vi in group}
-            specs = tuple(dict.fromkeys(cells.values()))
-            scores, seconds = _score_hypotheses(rotations, translations, specs,
-                                                corrs, effective.source, index)
-            row_of = {spec: k for k, spec in enumerate(specs)}
-            rmse_of: dict[int, float] = {}
-            for (mi, vi), spec in cells.items():
-                k, n_hyp = row_of[spec], budgets[vi]
-                # np.argmax takes the first maximum: earliest-iteration tie rule.
-                best = int(np.argmax(scores[k, :n_hyp]))
-                if best not in rmse_of:
-                    rmse_of[best] = rmse(RigidTransform(
-                        rotations[best], translations[best]), clean.gt_pairs)
-                outcomes[mi, vi].append((
-                    rmse_of[best], pr, seconds[k] * (n_hyp / budget),
-                    build_s if spec.kind in CLOUD_KINDS else 0.0))
-
-    rows = []
-    for (mi, vi), cell in outcomes.items():
-        value = values[vi]
-        d_rmse_pr = value if axis == "d_rmse" else cfg.d_rmse_pr
-        # Plain sums in trial order, so every mean replays bit-exactly.
-        n_ok, rmse_pr_sum, eval_s_sum, build_s_sum = 0, 0.0, 0.0, 0.0
-        for rm, pr, eval_s, build_s in cell:
-            if is_correct(rm, d_rmse_pr, pr):
-                n_ok += 1
-                rmse_pr_sum += rm / pr
-            eval_s_sum += eval_s
-            build_s_sum += build_s
-        rows.append(ExperimentRow(
-            metric=cfg.metrics[mi].kind.value,
-            sweep_axis=axis,
-            sweep_value=value,
-            trials=cfg.trials,
-            accuracy=n_ok / cfg.trials,
-            mean_rmse_pr=rmse_pr_sum / n_ok if n_ok else math.nan,
-            mean_eval_time_s=eval_s_sum / cfg.trials,
-            index_build_time_s=build_s_sum / cfg.trials,
-        ))
-    return rows
+    # Per cell: correct trials, their RMSE in pr, eval and index-build
+    # seconds. Plain sums in trial order, so every mean replays bit-exactly.
+    sums = {(mi, vi): [0, 0.0, 0.0, 0.0] for mi in range(len(cfg.metrics))
+            for vi in range(len(values))}
+    for rec in _trials(cfg, scene_cfg, corr_cfg):
+        cells = {(mi, vi): plan.bind(rec.pr, values[vi] if axis == "t" else None)
+                 for mi, plan in enumerate(cfg.metrics)
+                 for vi in rec.value_indices}
+        specs = tuple(dict.fromkeys(cells.values()))
+        scores, seconds = _score_hypotheses(rec.rotations, rec.translations,
+                                            specs, rec.corrs, rec.source,
+                                            rec.index)
+        rmse_of: dict[int, float] = {}
+        for (mi, vi), spec in cells.items():
+            k, n_hyp = specs.index(spec), budgets[vi]
+            # np.argmax takes the first maximum: earliest-iteration tie rule.
+            best = int(np.argmax(scores[k, :n_hyp]))
+            if best not in rmse_of:
+                rmse_of[best] = rmse(RigidTransform(
+                    rec.rotations[best], rec.translations[best]), rec.gt_pairs)
+            cell = sums[mi, vi]
+            d_rmse_pr = values[vi] if axis == "d_rmse" else cfg.d_rmse_pr
+            if is_correct(rmse_of[best], d_rmse_pr, rec.pr):
+                cell[0] += 1
+                cell[1] += rmse_of[best] / rec.pr
+            cell[2] += seconds[k] * (n_hyp / len(rec.rotations))
+            cell[3] += rec.build_s if spec.kind in CLOUD_KINDS else 0.0
+    return [ExperimentRow(
+        metric=cfg.metrics[mi].kind.value,
+        sweep_axis=axis,
+        sweep_value=values[vi],
+        trials=cfg.trials,
+        accuracy=n_ok / cfg.trials,
+        mean_rmse_pr=rmse_pr_sum / n_ok if n_ok else math.nan,
+        mean_eval_time_s=eval_s_sum / cfg.trials,
+        index_build_time_s=build_s_sum / cfg.trials,
+    ) for (mi, vi), (n_ok, rmse_pr_sum, eval_s_sum, build_s_sum) in sums.items()]
 
 
 def time_metric_evaluation(spec: MetricSpec, transforms,

@@ -6,6 +6,7 @@ import argparse
 import io
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ransacreg.cli import CSV_HEADER, _metric_list, _values_spec, main
+from ransacreg.metrics import MetricKind
 
 
 def run_cli(capsys, *argv):
@@ -285,6 +287,58 @@ def test_info_single_point_has_no_resolution(capsys, tmp_path):
     code, out, err = run_cli(capsys, "info", str(path))
     assert code == 0
     assert "resolution undefined (needs >= 2 points)" in out
+
+
+# ------------------------------------------------------------ pinned output
+#
+# Each sweep: (shape, n_points, axis, values). Two values per axis, so the
+# axes that draw one stream per value draw two; the lattice scene needs more
+# points than the blob to leave room for the outliers' clearance.
+_PINNED_SWEEPS = (
+    ("random-blob", "1500", "t", "3,12"),
+    ("random-blob", "1500", "iterations", "15,60"),
+    ("random-blob", "1500", "d_rmse", "0.8,2.5"),
+    ("random-blob", "1500", "inlier_ratio", "0.15,0.5"),
+    ("random-blob", "1500", "noise", "0.5,2"),
+    ("random-blob", "1500", "decimation-uniform", "0.7,1"),
+    ("random-blob", "1500", "decimation-random", "0.6,0.9"),
+    ("random-blob", "1500", "holes", "1,4"),
+    ("lattice", "8000", "holes", "1,4"),
+)
+
+
+def test_bench_and_register_output_is_pinned(capsys, tmp_path):
+    """The non-timing CSV columns of `bench` on every axis and `register`'s
+    stdout, for all ten metrics, equal the text in cli_pinned_output.txt.
+
+    Like the bulk-sampling tests in test_ransac.py, this pins the bits of
+    the numpy/scipy build it was recorded with (numpy 2.4, scipy 1.17): a
+    change that moves any hypothesis stream, score, winner or RMSE shows
+    here as a diff."""
+    metrics = ",".join(kind.value for kind in MetricKind)
+    lines = []
+    for shape, n_points, axis, values in _PINNED_SWEEPS:
+        out_path = tmp_path / f"{shape}-{axis}.csv"
+        code, out, err = run_cli(
+            capsys, "bench", "--metrics", metrics, "--sweep", axis,
+            "--values", values, "--out", str(out_path), "--trials", "2",
+            "--iterations", "50", "--seed", "3", "--shape", shape,
+            "--n-points", n_points, "--n-corrs", "50", "--inlier-ratio", "0.4",
+            "--sigma", "0.5")
+        assert code == 0, err
+        lines += [",".join(row.split(",")[:6])
+                  for row in out_path.read_text().splitlines()[1:]]
+    paths, _ = make_scene_files(capsys, tmp_path, n_points=1500, n_corrs=50,
+                                ratio=0.4, sigma=0.5)
+    for kind in MetricKind:
+        code, out, err = run_cli(
+            capsys, "register", paths["src"], paths["tgt"], "--corrs",
+            paths["corrs"], "--gt", paths["gt"], "--metric", kind.value,
+            "--iterations", "50", "--seed", "1")
+        assert code == 0, err
+        lines += out.splitlines()
+    pinned = Path(__file__).with_name("cli_pinned_output.txt").read_text()
+    assert "\n".join(lines) + "\n" == pinned
 
 
 # ------------------------------------------------- exit codes on bad input

@@ -404,6 +404,28 @@ def test_shared_stream_rows_equal_one_run_per_cell(axis):
     np.testing.assert_equal(got, reference_rows(cfg, SCENE, corr))
 
 
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_one_stream_per_trial_and_correspondence_set(axis, monkeypatch):
+    """Each trial samples one hypothesis stream for all metrics and sweep
+    values; only the axes that change the correspondences (inlier_ratio
+    and the data axes) sample one per value."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _sample_hypotheses(*args, **kwargs)
+
+    monkeypatch.setattr("ransacreg.evalbench._sample_hypotheses", counting)
+    values = AXIS_VALUES[axis]
+    cfg = EvalConfig(metrics=(MetricPlan(kind="mae"),
+                              MetricPlan(kind="inlier-count")),
+                     sweep_axis=axis, sweep_values=values, trials=3,
+                     iterations=10, base_seed=54)
+    run_experiment(cfg, SCENE, CORRS)
+    per_trial = 1 if axis in ("t", "iterations", "d_rmse") else len(values)
+    assert len(calls) == cfg.trials * per_trial
+
+
 def test_stream_prefix_argmax_equals_shorter_run():
     """The argmax over the first k hypotheses of a 1000-hypothesis stream
     is what run_ransac(iterations=k) returns, in iteration, score and
