@@ -151,6 +151,10 @@ class EvalConfig:
             raise BadConfig(f"sweep_values must be finite, got {values}")
         if self.sweep_axis == "d_rmse" and values[0] <= 0.0:
             raise BadConfig(f"d_rmse sweep values must be positive, got {values}")
+        if self.sweep_axis == "t":  # MetricPlan checks each threshold
+            for plan in self.metrics:
+                for v in values:
+                    replace(plan, t_pr=v)
         if self.trials < 1:
             raise BadConfig("trials must be >= 1")
         if not _positive(self.d_rmse_pr):

@@ -129,24 +129,29 @@ def sample_minimal(corrs: CorrespondenceSet, rng: np.random.Generator, *,
         f"no non-collinear sample in {degeneracy_retries + 1} attempts")
 
 
-# `Generator.choice(n, 3, replace=False)` (numpy 2.4, PCG64) spends five
-# Lemire-bounded 32-bit words per call: Floyd's algorithm over [0, n-3],
-# [0, n-2] and [0, n-1], then a shuffle over [0, 2] and [0, 1]. Word w maps
-# to (w * bound) >> 32 and is redrawn when (w * bound) mod 2**32 falls
-# below 2**32 mod bound. PCG64 serves each 64-bit output low half first,
-# and its leftover high half to the next call.
-def _decode_choices(raw: np.ndarray, n: int) -> np.ndarray | None:
-    """The (2 * raw.size / 5, 3) triples that consecutive
-    `choice(n, 3, replace=False)` calls return while they consume these
-    raw outputs, or None when a Lemire rejection would redraw a word."""
-    words = np.empty((raw.size, 2), dtype=np.uint64)
-    words[:, 0] = raw & 0xFFFFFFFF
-    words[:, 1] = raw >> 32
-    bounds = np.array([n - 2, n - 1, n, 3, 2], dtype=np.uint64)
-    m = words.reshape(-1, 5) * bounds
-    if np.any((m & 0xFFFFFFFF) < (1 << 32) % bounds):
-        return None
+# `Generator.choice(n, 3, replace=False)` (numpy 2.4, PCG64) spends one
+# Lemire-bounded 32-bit word per draw: Floyd's algorithm over [0, n-3],
+# [0, n-2] and [0, n-1], then a shuffle over [0, 2] and [0, 1]; a range of
+# one (the first draw at n = 3) takes none. Word w maps to (w * bound) >> 32
+# unless (w * bound) mod 2**32 falls below 2**32 mod bound: then the draw
+# takes the next word, so the decode deletes w and decodes the block again.
+def _decode_choices(words: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The triples that consecutive `choice(n, 3, replace=False)` calls
+    return while they consume this stream of 32-bit words, and how many
+    words their complete calls consumed, rejected words included."""
+    bounds = np.array([n - 2, n - 1, n, 3, 2][n == 3:], dtype=np.uint64)
+    k = bounds.size
+    dropped = []  # the position each rejected word was deleted from
+    while True:
+        m = words[:words.size // k * k].reshape(-1, k) * bounds
+        rejected = np.flatnonzero((m & 0xFFFFFFFF) < (1 << 32) % bounds)
+        if rejected.size == 0:
+            break
+        dropped.append(rejected[0])
+        words = np.delete(words, rejected[0])
     v = (m >> 32).astype(np.intp)
+    if n == 3:
+        v = np.column_stack([np.zeros(v.shape[0], dtype=np.intp), v])
     # Floyd's collision fix: a repeated draw j takes the top of its range.
     first = v[:, 0]
     second = np.where(v[:, 1] == first, n - 2, v[:, 1])
@@ -157,7 +162,8 @@ def _decode_choices(raw: np.ndarray, n: int) -> np.ndarray | None:
         swapped = triples[rows, j]
         triples[rows, j] = triples[:, i]
         triples[:, i] = swapped
-    return triples
+    # A word deleted after the last complete call belongs to the next one.
+    return triples, m.size + sum(p < m.size for p in dropped)
 
 
 def _sample_triples(corrs: CorrespondenceSet, seed: int, iterations: int,
@@ -167,25 +173,25 @@ def _sample_triples(corrs: CorrespondenceSet, seed: int, iterations: int,
     min_triangle_area=min_area, degeneracy_retries=retries)` return, bit
     for bit, decoded in bulk from the generator's raw output.
 
-    The loop's candidates are consecutive independent `choice` calls, so
-    blocks of them are decoded at once and the degenerate ones masked;
-    iteration i takes the i-th accepted candidate, and PersistentDegeneracy
-    is raised where `retries + 1` consecutive rejections fall inside one
-    iteration. A Lemire rejection in a decoded word and n = 3 (whose first
-    Floyd draw takes no word) run the loop itself on a fresh generator.
+    The loop's candidates are consecutive `choice` calls on one word
+    stream (each 64-bit output low half first), so blocks of them are
+    decoded at once, the words of an unfinished call carried into the
+    next block, and the degenerate ones masked; iteration i takes the
+    i-th accepted candidate, and PersistentDegeneracy is raised where
+    `retries + 1` consecutive rejections fall inside one iteration.
     """
-    n = corrs.n
     src = corrs.sources
     bitgen = np.random.default_rng(seed).bit_generator
+    words = np.empty(0, dtype=np.uint32)
     triples = np.empty((0, SAMPLE_SIZE), dtype=np.intp)
     accepted = np.empty(0, dtype=bool)
-    while n > SAMPLE_SIZE:
+    while True:
         need = iterations - np.count_nonzero(accepted)
-        # An even candidate count spends whole raw outputs, 5 words per 2.
-        count = 2 * (need // 2 + need // 16 + 4)
-        block = _decode_choices(bitgen.random_raw(count * 5 // 2), n)
-        if block is None:
-            break
+        raw = bitgen.random_raw(5 * (need + need // 16 + 8) // 2)
+        words = np.concatenate([words,
+                                raw.astype("<u8", copy=False).view("<u4")])
+        block, consumed = _decode_choices(words, corrs.n)
+        words = words[consumed:]
         triples = np.concatenate([triples, block])
         accepted = np.concatenate([accepted, _triangle_areas(
             src[block[:, 0]], src[block[:, 1]], src[block[:, 2]]) > min_area])
@@ -197,12 +203,6 @@ def _sample_triples(corrs: CorrespondenceSet, seed: int, iterations: int,
                 f"no non-collinear sample in {retries + 1} attempts")
         if kept.size >= iterations:
             return triples[kept[:iterations]]
-    rng = np.random.default_rng(seed)
-    triples = np.empty((iterations, SAMPLE_SIZE), dtype=np.intp)
-    for i in range(iterations):
-        triples[i] = sample_minimal(corrs, rng, min_triangle_area=min_area,
-                                    degeneracy_retries=retries)
-    return triples
 
 
 def _sample_hypotheses(corrs: CorrespondenceSet, seed: int, iterations: int,

@@ -264,6 +264,18 @@ def test_bench_library_config_error_is_data_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_bench_bad_sweep_threshold_is_data_error(capsys, tmp_path):
+    """A t sweep value is checked in resolution units before any trial
+    runs, so the message names the value as given."""
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "bench", "--metrics", "mae", "--sweep", "t",
+        "--values=-1,5", "--out", str(out_path), "--trials", "1")
+    assert code == 2
+    assert err.startswith("error:") and "-1.0" in err
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------- info
 
 

@@ -183,6 +183,8 @@ def test_eval_config_validation():
                               "sweep_values": (1.0, bad)})
     with pytest.raises(BadConfig):
         EvalConfig(**{**good, "sweep_axis": "d_rmse", "sweep_values": (0.0, 2.5)})
+    with pytest.raises(BadConfig, match="got -1.0"):
+        EvalConfig(**{**good, "sweep_values": (-1.0, 5.0)})
     assert set(SWEEP_AXES) >= {"t", "iterations", "d_rmse", "inlier_ratio"}
 
 

@@ -193,25 +193,109 @@ def test_bulk_sampling_masks_degenerate_candidates_like_the_loop(min_area):
             _loop_triples(corrs, seed, 300, 100, min_area))
 
 
-def test_bulk_sampling_falls_back_to_the_loop_on_a_lemire_rejection(
-        monkeypatch):
+def test_bulk_sampling_decodes_a_lemire_rejection(monkeypatch):
     """Seed 59 at n = 100 000 draws a word that numpy's bounded-integer
-    step rejects and redraws; the decode detects it and the loop runs."""
-    decoded = []
+    step rejects and redraws: the decode drops that one word. Neither it
+    nor n = 3, whose first Floyd draw takes no word, runs the loop."""
+    dropped = []
 
-    def spy(raw, n):
-        block = decode(raw, n)
-        decoded.append(block is not None)
-        return block
+    def spy(words, n):
+        triples, consumed = decode(words, n)
+        dropped.append(consumed - 5 * triples.shape[0])
+        return triples, consumed
 
     decode = ransac_module._decode_choices
-    monkeypatch.setattr(ransac_module, "_decode_choices", spy)
     src = np.random.default_rng(5).normal(size=(100_000, 3))
     corrs = CorrespondenceSet(src, src)
-    triples = ransac_module._sample_triples(corrs, 59, 1000, 100, 0.0)
-    assert decoded == [False]
-    np.testing.assert_array_equal(triples,
-                                  _loop_triples(corrs, 59, 1000, 100, 0.0))
+    tiny = CorrespondenceSet(src[:3], src[:3])
+    loop = _loop_triples(corrs, 59, 1000, 100, 0.0)
+    tiny_loop = _loop_triples(tiny, 0, 1000, 100, 0.0)
+    monkeypatch.setattr(ransac_module, "sample_minimal", None)
+    monkeypatch.setattr(ransac_module, "_decode_choices", spy)
+    np.testing.assert_array_equal(
+        ransac_module._sample_triples(corrs, 59, 1000, 100, 0.0), loop)
+    assert dropped == [1]
+    np.testing.assert_array_equal(
+        ransac_module._sample_triples(tiny, 0, 1000, 100, 0.0), tiny_loop)
+
+
+def _choice_reference(words, n):
+    """numpy's choice(n, 3, replace=False), one call after another, over a
+    stream of 32-bit words, in plain Python: each draw is Lemire's bounded
+    step with redraw, Floyd's algorithm fixes collisions, and a two-step
+    shuffle ends the call. Returns the complete calls' triples, the words
+    they consumed and how many of those were redrawn."""
+    pos = redrawn = 0
+
+    def bounded(bound):  # a value in [0, bound)
+        nonlocal pos, redrawn
+        if bound == 1:
+            return 0
+        while True:
+            m = int(words[pos]) * bound  # IndexError ends the stream
+            pos += 1
+            if m % 2**32 >= 2**32 % bound:
+                return m >> 32
+            redrawn += 1
+
+    triples, consumed, rejected = [], 0, 0
+    try:
+        while True:
+            data = []
+            for j in range(n - 3, n):
+                value = bounded(j + 1)
+                data.append(j if value in data else value)
+            for i in (2, 1):
+                j = bounded(i + 1)
+                data[i], data[j] = data[j], data[i]
+            triples.append(data)
+            consumed, rejected = pos, redrawn
+    except IndexError:
+        pass
+    return np.array(triples, dtype=np.intp).reshape(-1, 3), consumed, rejected
+
+
+@pytest.mark.parametrize("n", [3, 4, 1000, 100_000])
+def test_decode_choices_matches_numpys_draw_on_planted_rejections(n):
+    """_decode_choices against the sequential reference, on a word stream
+    with zeros planted in it: a zero is rejected by every bound that is not
+    a power of two. They sit in each Floyd draw, in the [0, 2] shuffle
+    draw, twice in a row and in the last complete call, and the stream is
+    also decoded in two parts with the unfinished call carried over. The
+    reference is first checked against Generator.choice on PCG64's words,
+    low half of each 64-bit output first, which at n = 100 000 and seed 59
+    include a rejection."""
+    raw = np.random.default_rng(59).bit_generator.random_raw(2600)
+    reference, _, _ = _choice_reference(
+        raw.astype("<u8", copy=False).view("<u4"), n)
+    choice = np.random.default_rng(59).choice
+    np.testing.assert_array_equal(
+        reference[:1000], [choice(n, 3, replace=False) for _ in range(1000)])
+    bounds = [b for b in (n - 2, n - 1, n, 3, 2) if b > 1]
+    rng = np.random.default_rng(n)
+    # Zeros before draw d of call c, as {c: (d, ...)}; planted only where
+    # the bound rejects them.
+    planted = {1: (0,), 3: (1,), 5: (2,), 7: (len(bounds) - 2,),
+               9: (1, 1), 38: (1,), 39: (0, 3)}
+    words, zeros = [], 0
+    for c in range(40):
+        for d, bound in enumerate(bounds):
+            if bound & (bound - 1):
+                k = planted.get(c, ()).count(d)
+                words += [0] * k
+                zeros += k if c < 39 else 0
+            words.append(int(rng.integers(1, 2**32)))
+    words = np.array(words[:-1], dtype=np.uint32)  # call 39 is unfinished
+    triples, consumed, rejected = _choice_reference(words, n)
+    assert triples.shape == (39, 3) and rejected == zeros >= 5
+    got, got_consumed = ransac_module._decode_choices(words, n)
+    np.testing.assert_array_equal(got, triples)
+    assert got_consumed == consumed
+    for cut in (9 * len(bounds) + 1, consumed - 1, consumed + 1):
+        head, used = ransac_module._decode_choices(words[:cut], n)
+        tail, rest = ransac_module._decode_choices(words[used:], n)
+        np.testing.assert_array_equal(np.concatenate([head, tail]), triples)
+        assert used + rest == consumed
 
 
 @pytest.mark.parametrize("seed", range(8))
