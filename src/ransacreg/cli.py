@@ -12,6 +12,7 @@ thin adapter: everything it does is reachable through the library.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -21,8 +22,8 @@ from .cloudio import (FORMATS, parse_cloud_file, parse_correspondence_file,
                       parse_transform_file, write_cloud_file,
                       write_correspondence_file, write_transform_file)
 from .errors import BadConfig, RansacRegError, TooFewPoints
-from .evalbench import (EvalConfig, MetricPlan, SWEEP_AXES, rmse,
-                        run_experiment)
+from .evalbench import (EvalConfig, ExperimentRow, MetricPlan, SWEEP_AXES,
+                        rmse, run_experiment)
 from .metrics import CLOUD_KINDS, CorrespondenceSet, MetricKind
 from .ransac import RansacConfig, run_ransac
 from .spatial import build_index
@@ -31,8 +32,7 @@ from .synth import (SHAPES, CorrespondenceConfig, SceneConfig,
 
 __all__ = ["CSV_HEADER", "entry", "main"]
 
-CSV_HEADER = ("metric,sweep_axis,sweep_value,trials,accuracy,"
-              "mean_rmse_pr,mean_eval_time_s,index_build_time_s")
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(ExperimentRow))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,17 +212,12 @@ def _cmd_register(args) -> int:
 
 
 def _write_csv(path: str, rows) -> None:
-    def f6(value: float) -> str:
-        return format(value, ".6g")
-
+    """One line per row: its `ExperimentRow` fields, floats as %.6g."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            fh.write(",".join([
-                r.metric, r.sweep_axis, f6(r.sweep_value), str(r.trials),
-                f6(r.accuracy), f6(r.mean_rmse_pr), f6(r.mean_eval_time_s),
-                f6(r.index_build_time_s),
-            ]) + "\n")
+            fh.write(",".join(format(v, ".6g") if isinstance(v, float)
+                              else str(v) for v in dataclasses.astuple(r)) + "\n")
 
 
 def _scene_config(args, seed: int = 0) -> SceneConfig:

@@ -80,8 +80,17 @@ def _resolve_format(path: str, format: str | None) -> str:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    """The file's lines as UTF-8 text; a byte that is not UTF-8 raises
+    ParseError with its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # Valid up to the bad byte; "x" stands in for it, on its line.
+        head = data[:exc.start].decode("utf-8") + "x"
+        raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x}", path,
+                         len(head.splitlines())) from None
 
 
 def _token_rows(lines: list[str], path: str, width: int | None = None,

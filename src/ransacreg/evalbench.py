@@ -240,10 +240,10 @@ class _Trial:
 
 
 def _trials(cfg: EvalConfig, scene_cfg: SceneConfig,
-            corr_cfg: CorrespondenceConfig):
-    """Yield one :class:`_Trial` per (trial, stream group), in trial order."""
+            corr_cfg: CorrespondenceConfig, budgets: list[int]):
+    """Yield one :class:`_Trial` per (trial, stream group), in trial order;
+    each group's stream holds its values' largest budget."""
     axis, values = cfg.sweep_axis, cfg.sweep_values
-    budget = int(round(values[-1])) if axis == "iterations" else cfg.iterations
     needs_cloud = any(p.kind in CLOUD_KINDS for p in cfg.metrics)
     indices = tuple(range(len(values)))
     per_value = axis in _DATA_AXES or axis == "inlier_ratio"
@@ -264,7 +264,7 @@ def _trials(cfg: EvalConfig, scene_cfg: SceneConfig,
             index = build_index(scene.target) if needs_cloud else None
             build_s = time.perf_counter() - t0
             rotations, translations = _sample_hypotheses(
-                corrs, seed(_ROLE_RANSAC), budget)
+                corrs, seed(_ROLE_RANSAC), max(budgets[vi] for vi in group))
             yield _Trial(group, scene.target.resolution, scene.source, corrs,
                          index, build_s, clean.gt_pairs, rotations,
                          translations)
@@ -289,7 +289,7 @@ def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
     # seconds. Plain sums in trial order, so every mean replays bit-exactly.
     sums = {(mi, vi): [0, 0.0, 0.0, 0.0] for mi in range(len(cfg.metrics))
             for vi in range(len(values))}
-    for rec in _trials(cfg, scene_cfg, corr_cfg):
+    for rec in _trials(cfg, scene_cfg, corr_cfg, budgets):
         cells = {(mi, vi): plan.bind(rec.pr, values[vi] if axis == "t" else None)
                  for mi, plan in enumerate(cfg.metrics)
                  for vi in rec.value_indices}

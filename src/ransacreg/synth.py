@@ -278,12 +278,15 @@ def add_gaussian_noise(cloud: PointCloud, sigma_pr: float, seed: int) -> PointCl
 def _uniform_keep_indices(n: int, keep_fraction: float) -> np.ndarray:
     if not (0.0 < keep_fraction <= 1.0):
         raise BadConfig(f"keep_fraction must lie in (0, 1], got {keep_fraction}")
-    step = max(1, round(1.0 / keep_fraction))
+    # Capping the step at n keeps the same indices, and keeps inf (from a
+    # subnormal fraction) and steps beyond int64 away from round and arange.
+    step = max(1, round(min(1.0 / keep_fraction, n)))
     return np.arange(0, n, step)
 
 
 def decimate_uniform(cloud: PointCloud, keep_fraction: float) -> PointCloud:
-    """Keep every round(1/keep_fraction)-th point by index."""
+    """Keep every round(1/keep_fraction)-th point by index; a step of at
+    least the cloud's size keeps point 0 alone."""
     return cloud.select(_uniform_keep_indices(len(cloud), keep_fraction))
 
 

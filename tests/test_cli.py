@@ -276,6 +276,19 @@ def test_bench_bad_sweep_threshold_is_data_error(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_bench_tiny_decimation_is_data_error(capsys, tmp_path):
+    """A keep fraction whose step overflows leaves one target point, whose
+    resolution is undefined: a data error, not a traceback."""
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "bench", "--metrics", "mae", "--sweep", "decimation-uniform",
+        "--values", "1e-300", "--out", str(out_path), "--trials", "1",
+        "--iterations", "5", "--n-points", "500", "--n-corrs", "40")
+    assert code == 2
+    assert err == "error: cloud resolution needs at least 2 points\n"
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------- info
 
 
@@ -291,6 +304,14 @@ def test_info_reports_cloud_statistics(capsys, tmp_path):
     assert lines[2] == "min 0 0 0"
     assert lines[3] == "max 6 0 0"
     assert lines[4] == "centroid 3 0 0"
+
+
+def test_info_non_utf8_file_is_data_error(capsys, tmp_path):
+    path = tmp_path / "bad.xyz"
+    path.write_bytes(b"0 0 0\n1 2 \xff\n")
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert code == 2
+    assert err == f"error: {path}:2: not UTF-8 text: byte 0xff\n"
 
 
 def test_info_single_point_has_no_resolution(capsys, tmp_path):

@@ -23,6 +23,7 @@ from ransacreg import (
 )
 from ransacreg.cloudio import (
     FORMATS,
+    _read_lines,
     detect_format,
     parse_correspondence_file,
     parse_transform_file,
@@ -509,6 +510,39 @@ def test_out_of_range_token_raises_at_its_line(tmp_path, kind, token):
     rows[3] = rows[0]
     got = _parse(kind, _write(tmp_path, kind, rows))
     assert got.max() == COORD_LIMIT and got.min() == -COORD_LIMIT
+
+
+@pytest.mark.parametrize("kind", ["xyz", "ply", "corrs", "transform"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_non_utf8_byte_raises_at_its_line(tmp_path, kind, eol):
+    """A byte that is not UTF-8 is a ParseError with the path and its line,
+    whichever parser reads the file."""
+    if kind == "transform":
+        path = tmp_path / "pose.txt"
+        path.write_bytes(eol.join(["1 0 0 0", "0 1 0 0", "0 0 1 0", "",
+                                   "# 0xBAD"]).encode("utf-8"))
+        line = 5
+    else:
+        rows = [["1", "2", "3"] * (2 if kind == "corrs" else 1)] * 5
+        rows[3] = rows[3][:-1] + ["3BAD"]
+        path = _write(tmp_path, kind, rows, eol)
+        line = _FIRST_ROW_LINE[kind] + 3
+    path.write_bytes(path.read_bytes().replace(b"BAD", b"\xff"))
+    with pytest.raises(ParseError, match="not UTF-8 text: byte 0xff") as excinfo:
+        if kind == "transform":
+            parse_transform_file(path)
+        else:
+            _parse(kind, path)
+    assert (excinfo.value.path, excinfo.value.line) == (str(path), line)
+
+
+def test_read_lines_splits_as_a_text_mode_read(tmp_path):
+    path = tmp_path / "lines.xyz"
+    path.write_bytes("\ufeff1 2 3\r\n4 5 6\r7\x0b8\x85 9\u2028\n\n é\x1c0\r\n"
+                     .encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    assert _read_lines(str(path)) == want
 
 
 def test_bad_vertex_beats_a_ply_that_ends_early(tmp_path):

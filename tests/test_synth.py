@@ -232,6 +232,18 @@ def test_correspondences_determinism_and_seed_sensitivity():
     assert not np.array_equal(a.targets, c.targets)
 
 
+def test_correspondences_on_an_unusable_scene_are_bad_config():
+    cfg = CorrespondenceConfig(n_correspondences=10, inlier_ratio=0.5, seed=3)
+    # a 3 x 3 x 2 box cannot hold an outlier 15 pr from its true match
+    lattice = generate_scene(SceneConfig(n_points=10, shape="lattice"))
+    with pytest.raises(BadConfig, match="too small to place outliers"):
+        generate_correspondences(lattice, cfg)
+    no_pairs = ScenePair(source=lattice.source, target=lattice.target,
+                         gt=lattice.gt, gt_pairs=np.zeros((0, 2, 3)))
+    with pytest.raises(BadConfig, match="no ground-truth pairs"):
+        generate_correspondences(no_pairs, cfg)
+
+
 def test_correspondences_can_exceed_scene_size():
     scene = blob_scene(n=20)
     corrs, mask = generate_correspondences(
@@ -290,6 +302,11 @@ def test_decimate_uniform_strides():
                                   cloud.points)
     np.testing.assert_array_equal(decimate_uniform(cloud, 0.33).points,
                                   cloud.points[::3])
+    # a step of 10 or more keeps point 0 alone, also where round(1 / f)
+    # overflows int64 (1e-20, 1e-300) or 1 / f a float (1e-320)
+    for tiny in (0.1, 1e-20, 1e-300, 1e-320):
+        np.testing.assert_array_equal(decimate_uniform(cloud, tiny).points,
+                                      cloud.points[:1])
     with pytest.raises(BadConfig):
         decimate_uniform(cloud, 0.0)
     with pytest.raises(BadConfig):
@@ -321,6 +338,14 @@ def test_punch_holes_sizes_and_determinism():
     np.testing.assert_array_equal(holed.points, again.points)
     untouched = punch_holes(cloud, n_holes=0, hole_fraction=0.05, seed=9)
     np.testing.assert_array_equal(untouched.points, cloud.points)
+    # holes that outrun the cloud stop once nothing survives; k = 0 holes
+    # remove nothing
+    three = PointCloud(cloud.points[:3])
+    assert len(punch_holes(three, n_holes=4, hole_fraction=0.2, seed=9)) == 0
+    twenty = PointCloud(cloud.points[:20])
+    np.testing.assert_array_equal(
+        punch_holes(twenty, n_holes=4, hole_fraction=0.01, seed=9).points,
+        twenty.points)
     with pytest.raises(BadConfig):
         punch_holes(cloud, n_holes=20, hole_fraction=0.05, seed=0)
     with pytest.raises(BadConfig):
