@@ -79,18 +79,22 @@ def _resolve_format(path: str, format: str | None) -> str:
     return format
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str, header=None) -> list[str]:
     """The file's lines as UTF-8 text; a byte that is not UTF-8 raises
-    ParseError with its line."""
+    ParseError with its line. `header(lines, path)`, when given, first
+    reads the complete lines before that byte's, so an error it raises
+    there, such as a binary PLY format line, comes first in file order."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         # Valid up to the bad byte; "x" stands in for it, on its line.
-        head = data[:exc.start].decode("utf-8") + "x"
+        head = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        if header is not None and len(head) > 1:
+            header(head[:-1], path)
         raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x}", path,
-                         len(head.splitlines())) from None
+                         len(head)) from None
 
 
 def _token_rows(lines: list[str], path: str, width: int | None = None,
@@ -137,7 +141,9 @@ def _parse_xyz(lines: list[str], path: str) -> np.ndarray:
         lambda: _token_rows(lines, path, 3, "coordinates"), path)
 
 
-def _parse_ply(lines: list[str], path: str) -> np.ndarray:
+def _ply_header(lines: list[str], path: str):
+    """(elements, line of `end_header`) of a PLY header, raising its first
+    error; the line is None when `lines` end before `end_header`."""
     if not lines or lines[0].strip() != "ply":
         raise ParseError("missing 'ply' magic line", path, 1)
 
@@ -191,6 +197,11 @@ def _parse_ply(lines: list[str], path: str) -> np.ndarray:
             break
         else:
             raise ParseError(f"unknown header keyword {keyword!r}", path, lineno)
+    return elements, body_start
+
+
+def _parse_ply(lines: list[str], path: str) -> np.ndarray:
+    elements, body_start = _ply_header(lines, path)
     if body_start is None:
         raise ParseError("missing end_header", path, len(lines))
 
@@ -252,8 +263,10 @@ def parse_cloud_file(path, format: str | None = None) -> PointCloud:
     """
     path = str(path)
     format = _resolve_format(path, format)
-    parse = _parse_xyz if format == "xyz-ascii" else _parse_ply
-    points = parse(_read_lines(path), path)
+    if format == "xyz-ascii":
+        points = _parse_xyz(_read_lines(path), path)
+    else:  # a binary body is not text, but its header is
+        points = _parse_ply(_read_lines(path, _ply_header), path)
     if not len(points):
         raise ParseError("no points found (empty cloud)", path)
     return PointCloud(points.reshape(-1, 3))

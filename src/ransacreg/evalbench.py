@@ -34,12 +34,14 @@ from .geom import PointCloud, RigidTransform
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, MetricKind, MetricSpec,
                       _as_kind, _pair_errors, evaluate_hypothesis,
                       evaluate_hypothesis_cloud)
-from .ransac import _sample_hypotheses, _score_hypotheses
+from .ransac import _MAX_ITERATIONS, _sample_hypotheses, _score_hypotheses
 from .spatial import NeighborIndex, _as_array, build_index
 from .synth import (CorrespondenceConfig, SceneConfig, ScenePair, _as_pairs,
-                    _hole_survivor_indices, _random_keep_indices,
-                    _uniform_keep_indices, add_gaussian_noise,
-                    generate_correspondences, generate_scene)
+                    _check_holes, _check_inlier_ratio, _check_keep_fraction,
+                    _check_sigma_pr, _hole_survivor_indices,
+                    _random_keep_indices, _uniform_keep_indices,
+                    add_gaussian_noise, generate_correspondences,
+                    generate_scene)
 
 __all__ = [
     "EvalConfig",
@@ -159,12 +161,26 @@ class EvalConfig:
             raise BadConfig("trials must be >= 1")
         if not _positive(self.d_rmse_pr):
             raise BadConfig(f"d_rmse_pr must be finite and positive, got {self.d_rmse_pr}")
-        if self.iterations < 1:
-            raise BadConfig("iterations must be >= 1")
+        if not 1 <= self.iterations <= _MAX_ITERATIONS:
+            raise BadConfig("iterations must lie in [1, 2**63 - 1]")
+        if self.sweep_axis == "iterations" and round(values[-1]) > _MAX_ITERATIONS:
+            raise BadConfig(f"iterations sweep values must round to at most "
+                            f"2**63 - 1, got {values[-1]}")
         if not (0.0 < self.hole_fraction < 1.0):
             raise BadConfig("hole_fraction must lie in (0, 1)")
         if self.base_seed < 0:
             raise BadConfig("base_seed must be non-negative")
+        # The data axes' values pass synth's own rules before any trial runs.
+        rule = {"inlier_ratio": _check_inlier_ratio,
+                "noise": _check_sigma_pr,
+                "decimation-uniform": _check_keep_fraction,
+                "decimation-random": _check_keep_fraction,
+                "holes": lambda v: _check_holes(int(round(v)),
+                                                self.hole_fraction),
+                }.get(self.sweep_axis)
+        if rule is not None:
+            for v in values:
+                rule(v)
 
 
 @dataclass(frozen=True)
@@ -176,9 +192,12 @@ class ExperimentRow:
     mean_eval_time_s is the average scoring wall time per registered pair:
     the part of the trial's shared error (or nearest-neighbour) pass that
     held up the scoring thread (the kernel runs one chunk ahead on a helper
-    thread; the zero-outlier kinds' candidate extraction counts in full)
-    plus this cell's own reduction, prorated to the cell's share of the
-    stream on the iterations axis. Sampling and solving are shared and
+    thread; the zero-outlier kinds' candidate extraction below the trial's
+    largest threshold counts in full) plus this cell's own reduction,
+    prorated to the cell's share of the stream on the iterations axis. The
+    zero-outlier cells reduce from the largest threshold down, and at each
+    smaller threshold the first of them in metric order also pays for
+    narrowing the candidates to it. Sampling and solving are shared and
     excluded, so it is not the cost of a separate RANSAC run.
     index_build_time_s is the average target-index build time per pair (0
     for correspondence metrics).
@@ -285,6 +304,9 @@ def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
                for v in values]
     if min(budgets) < 1:
         raise BadConfig(f"iterations must be >= 1, got {min(budgets)}")
+    if axis == "inlier_ratio":  # the inlier count also needs corr_cfg's size
+        for v in values:
+            replace(corr_cfg, inlier_ratio=v)
     # Per cell: correct trials, their RMSE in pr, eval and index-build
     # seconds. Plain sums in trial order, so every mean replays bit-exactly.
     sums = {(mi, vi): [0, 0.0, 0.0, 0.0] for mi in range(len(cfg.metrics))

@@ -203,8 +203,8 @@ def _require_kind(spec: MetricSpec, *, cloud: bool) -> None:
 
 def _errors_batch(rotations: np.ndarray, translations: np.ndarray,
                   sources: np.ndarray, targets: np.ndarray, *,
-                  out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-                  ) -> np.ndarray:
+                  out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                  squared: bool = False) -> np.ndarray:
     """Errors ||R p_s + t - p_t|| for a batch of transforms, shape (h, n).
 
     Built purely from elementwise ufuncs (no einsum or BLAS), so every
@@ -217,6 +217,11 @@ def _errors_batch(rotations: np.ndarray, translations: np.ndarray,
     RMSE grading, replay) the result and one (2, h, n) scratch block are
     allocated, so the returned array does not hold the scratch alive.
     Either way each element goes through the same ufunc sequence.
+    `squared=True` returns the squared errors, the same array before its
+    final `np.sqrt`; since sqrt is correctly rounded, taking it later on
+    any subset gives the same bits. The kernel reads the point columns
+    `sources[:, k]` and `targets[:, k]`, which column-major (N, 3) arrays
+    keep unit-stride.
     """
     if out is None:
         h, n = rotations.shape[0], sources.shape[0]
@@ -234,7 +239,7 @@ def _errors_batch(rotations: np.ndarray, translations: np.ndarray,
         acc *= acc
         if k:
             e2 += acc
-    return np.sqrt(e2, out=e2)
+    return e2 if squared else np.sqrt(e2, out=e2)
 
 
 def _pair_errors(rotation: np.ndarray, translation: np.ndarray,
@@ -365,11 +370,13 @@ def score_correspondence(spec: MetricSpec, e: float) -> float:
 _BATCH_ELEMENTS = 65_536
 
 
-def _score_pass(specs, h: int, blocks, reduce) -> tuple[np.ndarray, np.ndarray]:
+def _score_pass(specs, order, h: int, blocks, reduce
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Reduce every spec's scores from one shared pass over h hypotheses.
 
     `blocks` lazily yields (hypothesis slice, shared data) pairs and
-    `reduce(spec, data)` turns one block's data into that spec's scores.
+    `reduce(spec, data)` turns one block's data into that spec's scores,
+    for the spec indices in `order` within each block.
     Returns (values, seconds): values[k, i] is specs[k]'s score of
     hypothesis i; seconds[k] is the time spent producing the shared data
     plus spec k's own reductions.
@@ -381,8 +388,8 @@ def _score_pass(specs, h: int, blocks, reduce) -> tuple[np.ndarray, np.ndarray]:
     for where, data in blocks:  # advancing `blocks` runs the shared pass
         t1 = time.perf_counter()
         shared_s += t1 - t0
-        for k, spec in enumerate(specs):
-            values[k, where] = reduce(spec, data)
+        for k in order:
+            values[k, where] = reduce(specs[k], data)
             t0 = time.perf_counter()
             own_s[k] += t0 - t1
             t1 = t0
@@ -396,28 +403,48 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     for several correspondence specs at once; see :func:`_score_pass`.
 
     The shared pass computes each chunk of errors once and extracts its
-    candidates, the errors below the largest t of the kinds whose outliers
-    score 0 (inlier-count, mae, mse, log-cosh, exp). Each such spec keeps
-    the candidates below its own t and evaluates its inlier formula only
-    there; inlier-count just counts them per row. The other kinds score the
-    dense chunk. A helper thread runs the error kernel one chunk ahead,
-    into the one of two reused result buffers that the calling thread is
-    not reducing, while the calling thread extracts candidates and runs
-    every reduction in chunk order; so the shared-pass seconds count only
-    the kernel time that the reductions did not overlap. Element-for-element
-    identical to :func:`evaluate_hypothesis` per hypothesis and spec: errors
-    come from the batch-size-independent :func:`_errors_batch` kernel, and
-    each row is summed with every score at its own position and 0
-    elsewhere, exactly like a standalone 1-D sum.
+    candidates, the positions and errors below t_max, the largest t of the
+    kinds whose outliers score 0 (inlier-count, mae, mse, log-cosh, exp).
+    Such specs are reduced from the largest t to the smallest, ties in the
+    callers' order, and the first spec at each smaller t narrows the
+    previous threshold's candidates once; every spec at that t evaluates
+    its inlier formula on that one set, and inlier-count counts it per
+    row. The other kinds score the dense chunk. Rows come back in the
+    callers' order. When every spec is a zero-outlier kind, no score reads
+    an outlier's error, so the kernel stops at e^2 and only the errors
+    below a bound just above t_max^2 get their sqrt and the exact e < t_max
+    check. A helper thread runs the error kernel one chunk ahead, into the
+    one of two reused result buffers that the calling thread is not
+    reducing, while the calling thread extracts candidates and runs every
+    reduction in chunk order. So the shared-pass seconds count the kernel
+    time that the reductions did not overlap plus the extraction, and a
+    smaller threshold's cut counts as its first spec's own time.
+    Element-for-element identical to :func:`evaluate_hypothesis` per
+    hypothesis and spec: errors come from the batch-size-independent
+    :func:`_errors_batch` kernel, and each row is summed with every score
+    at its own position and 0 elsewhere, exactly like a standalone 1-D sum.
     """
     h = rotations.shape[0]
     n = sources.shape[0]
     chunk = max(1, _BATCH_ELEMENTS // max(n, 1))
     rows = min(chunk, h)
+    # Column-major copies keep every point column the kernel broadcasts
+    # unit-stride: the chunked 1000 x 1000 kernel took 20.0 ms against
+    # 23.3 ms with strided columns (min of 150, 2-core Xeon).
+    sources = np.ascontiguousarray(sources.T).T
+    targets = np.ascontiguousarray(targets.T).T
+    # Only one candidate set per chunk stays alive: keeping every
+    # threshold's set at once raised the sweep-t benchmark's peak RSS by
+    # 0.05-1.55 MB in 6 of 6 pairs (2-core Xeon).
+    order = sorted(range(len(specs)), key=lambda k: -specs[k].t)
+    squared = all(s.kind in _ZERO_OUTLIER_KINDS for s in specs)
     # Errors are non-negative, so t_max = 0 (no zero-outlier spec) leaves
-    # no candidates.
+    # no candidates. Squared: sqrt is monotone and correctly rounded, so
+    # sqrt(x) < t_max means x < t_max^2 exactly, and such a double x is at
+    # most fl(t_max * t_max).
     t_max = max((s.t for s in specs if s.kind in _ZERO_OUTLIER_KINDS),
                 default=0.0)
+    bound = np.nextafter(t_max * t_max, np.inf) if squared else t_max
     # One zeroed scatter buffer, reused by every spec and chunk; each
     # reduction clears what it wrote.
     sink = np.zeros(rows * n)
@@ -427,15 +454,27 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     results = np.empty((2, rows, n))
     scratch = np.empty((2, rows, n))
 
+    def candidates(e):
+        """[t_max, flat positions, errors] of the errors below t_max."""
+        flat = np.flatnonzero(e < bound)
+        ce = e.reshape(-1)[flat]
+        if squared:
+            np.sqrt(ce, out=ce)
+            keep = ce < t_max
+            flat, ce = flat[keep], ce[keep]
+        return [t_max, flat, ce]
+
     def reduce(spec, block):
-        e, flat, ce = block
+        e, cut = block
         if spec.kind not in _ZERO_OUTLIER_KINDS:
             return np.sum(_score_array(spec, e), axis=1)
-        inl = ce < spec.t
-        idx = flat[inl]
+        if spec.t < cut[0]:  # the first spec at this t narrows the set
+            keep = cut[2] < spec.t
+            cut[:] = spec.t, cut[1][keep], cut[2][keep]
+        _, idx, ce = cut
         if spec.kind is MetricKind.INLIER_COUNT:
             return np.bincount(idx // n, minlength=e.shape[0])
-        sink[idx] = _FORMULAS[spec.kind][0](spec, ce[inl])
+        sink[idx] = _FORMULAS[spec.kind][0](spec, ce)
         total = np.sum(sink[:e.size].reshape(e.shape), axis=1)
         sink[idx] = 0.0
         return total
@@ -452,7 +491,8 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
             return pool.submit(
                 _errors_batch, rotations[lo:lo + r], translations[lo:lo + r],
                 sources, targets, out=(results[lo // chunk % 2, :r],
-                                       scratch[0, :r], scratch[1, :r]))
+                                       scratch[0, :r], scratch[1, :r]),
+                squared=squared)
 
         def blocks():
             pending = kernel(0)
@@ -460,10 +500,9 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
                 e = pending.result()
                 if lo + chunk < h:  # the next chunk, while this one is reduced
                     pending = kernel(lo + chunk)
-                flat = np.flatnonzero(e < t_max)
-                yield slice(lo, lo + chunk), (e, flat, e.reshape(-1)[flat])
+                yield slice(lo, lo + chunk), (e, candidates(e))
 
-        return _score_pass(specs, h, blocks(), reduce)
+        return _score_pass(specs, order, h, blocks(), reduce)
 
 
 def _cloud_points(kind: MetricKind, source,
@@ -524,7 +563,7 @@ def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
                                 translations[lo:lo + chunk], points,
                                 target_index, moved))
               for lo in range(0, h, chunk))
-    return _score_pass(specs, h, blocks, _cloud_score)
+    return _score_pass(specs, range(len(specs)), h, blocks, _cloud_score)
 
 
 def evaluate_hypothesis(spec: MetricSpec, transform: RigidTransform,

@@ -48,6 +48,9 @@ __all__ = [
 # Only the 3-point minimal solver is supported.
 SAMPLE_SIZE = 3
 
+# The largest budget: the sampler counts hypotheses in int64.
+_MAX_ITERATIONS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class RansacConfig:
@@ -68,8 +71,9 @@ class RansacConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise BadConfig(f"seed must be non-negative, got {self.seed}")
-        if self.iterations < 1:
-            raise BadConfig(f"iterations must be >= 1, got {self.iterations}")
+        if not 1 <= self.iterations <= _MAX_ITERATIONS:
+            raise BadConfig(
+                f"iterations must lie in [1, 2**63 - 1], got {self.iterations}")
         if self.sample_size != SAMPLE_SIZE:
             raise BadConfig("only 3-point minimal samples are supported")
         if self.degeneracy_retries < 1:
@@ -84,8 +88,9 @@ class RegistrationResult:
     attained the maximum score. `elapsed_eval_time` covers hypothesis
     scoring only: for a correspondence metric, the wait for each chunk of
     errors that the helper thread had not finished while the previous
-    chunk was reduced, plus the reductions. `elapsed_total_time` covers the
-    whole run.
+    chunk was reduced, the cut of the chunk's candidates at the metric's
+    threshold (inlier-count, mae, mse, log-cosh and exp only), plus the
+    reductions. `elapsed_total_time` covers the whole run.
     """
 
     best_transform: RigidTransform

@@ -93,6 +93,11 @@ class SceneConfig:
             raise BadConfig(f"seed must be non-negative, got {self.seed}")
 
 
+def _check_inlier_ratio(inlier_ratio: float) -> None:
+    if not (0.0 < inlier_ratio <= 1.0):
+        raise BadConfig(f"inlier_ratio must lie in (0, 1], got {inlier_ratio}")
+
+
 @dataclass(frozen=True)
 class CorrespondenceConfig:
     """Recipe for a correspondence set with a controlled inlier ratio.
@@ -109,9 +114,7 @@ class CorrespondenceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.inlier_ratio <= 1.0):
-            raise BadConfig(
-                f"inlier_ratio must lie in (0, 1], got {self.inlier_ratio}")
+        _check_inlier_ratio(self.inlier_ratio)
         if not 0.0 <= self.inlier_sigma_pr < math.inf:
             raise BadConfig("inlier_sigma_pr must be >= 0 and finite")
         if round(self.n_correspondences * self.inlier_ratio) < 3:
@@ -264,10 +267,14 @@ def generate_correspondences(scene: ScenePair, cfg: CorrespondenceConfig
     return CorrespondenceSet(src, tgt), mask
 
 
-def add_gaussian_noise(cloud: PointCloud, sigma_pr: float, seed: int) -> PointCloud:
-    """Perturb every coordinate by N(0, (sigma_pr * resolution)^2)."""
+def _check_sigma_pr(sigma_pr: float) -> None:
     if not 0.0 <= sigma_pr < math.inf:
         raise BadConfig("sigma_pr must be >= 0 and finite")
+
+
+def add_gaussian_noise(cloud: PointCloud, sigma_pr: float, seed: int) -> PointCloud:
+    """Perturb every coordinate by N(0, (sigma_pr * resolution)^2)."""
+    _check_sigma_pr(sigma_pr)
     if sigma_pr == 0.0:
         return PointCloud(cloud.points)
     rng = np.random.default_rng(seed)
@@ -275,9 +282,13 @@ def add_gaussian_noise(cloud: PointCloud, sigma_pr: float, seed: int) -> PointCl
     return PointCloud(cloud.points + scale * rng.standard_normal((len(cloud), 3)))
 
 
-def _uniform_keep_indices(n: int, keep_fraction: float) -> np.ndarray:
+def _check_keep_fraction(keep_fraction: float) -> None:
     if not (0.0 < keep_fraction <= 1.0):
         raise BadConfig(f"keep_fraction must lie in (0, 1], got {keep_fraction}")
+
+
+def _uniform_keep_indices(n: int, keep_fraction: float) -> np.ndarray:
+    _check_keep_fraction(keep_fraction)
     # Capping the step at n keeps the same indices, and keeps inf (from a
     # subnormal fraction) and steps beyond int64 away from round and arange.
     step = max(1, round(min(1.0 / keep_fraction, n)))
@@ -292,8 +303,7 @@ def decimate_uniform(cloud: PointCloud, keep_fraction: float) -> PointCloud:
 
 def _random_keep_indices(n: int, keep_fraction: float,
                          rng: np.random.Generator) -> np.ndarray:
-    if not (0.0 < keep_fraction <= 1.0):
-        raise BadConfig(f"keep_fraction must lie in (0, 1], got {keep_fraction}")
+    _check_keep_fraction(keep_fraction)
     k = round(n * keep_fraction)
     return np.sort(rng.choice(n, size=k, replace=False))
 
@@ -305,13 +315,17 @@ def decimate_random(cloud: PointCloud, keep_fraction: float, seed: int
     return cloud.select(_random_keep_indices(len(cloud), keep_fraction, rng))
 
 
-def _hole_survivor_indices(points: np.ndarray, n_holes: int, hole_fraction: float,
-                           rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
+def _check_holes(n_holes: int, hole_fraction: float) -> None:
     if n_holes < 0:
         raise BadConfig("n_holes must be >= 0")
     if n_holes * hole_fraction >= 1.0:
         raise BadConfig("holes would consume the whole cloud")
+
+
+def _hole_survivor_indices(points: np.ndarray, n_holes: int, hole_fraction: float,
+                           rng: np.random.Generator) -> np.ndarray:
+    n = points.shape[0]
+    _check_holes(n_holes, hole_fraction)
     k = round(hole_fraction * n)
     alive = np.arange(n)
     for _ in range(n_holes):

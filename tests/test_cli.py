@@ -314,6 +314,27 @@ def test_info_non_utf8_file_is_data_error(capsys, tmp_path):
     assert err == f"error: {path}:2: not UTF-8 text: byte 0xff\n"
 
 
+def test_info_binary_ply_is_unsupported_not_a_text_error(capsys, tmp_path):
+    path = tmp_path / "b.ply"
+    path.write_bytes(_ply_header(1, fmt="binary_little_endian").encode("ascii")
+                     + b"\x00\x00\x80\xff" * 3)
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert code == 2
+    assert err == (f"error: {path}: binary PLY is not supported; "
+                   "convert to ascii 1.0 first\n")
+
+
+def test_budget_beyond_int64_is_a_config_error(scene_files, tmp_path):
+    """Exit 2 with one error line, before any sampling."""
+    assert exit_code("register", scene_files["src"], scene_files["tgt"],
+                     "--iterations", str(10**20)) == 2
+    out = tmp_path / "x.csv"
+    assert exit_code("bench", "--metrics", "mae", "--sweep", "iterations",
+                     "--values", "1e300", "--trials", "1", "--n-points",
+                     "2000", "--n-corrs", "40", "--out", str(out)) == 2
+    assert not out.exists()
+
+
 def test_info_single_point_has_no_resolution(capsys, tmp_path):
     path = tmp_path / "one.xyz"
     path.write_text("1 2 3\n")

@@ -162,11 +162,19 @@ def test_ply_skips_other_elements(tmp_path):
 
 def test_ply_rejects_binary(tmp_path):
     path = tmp_path / "cloud.ply"
-    path.write_text("ply\nformat binary_little_endian 1.0\n"
-                    "element vertex 1\nproperty float x\nproperty float y\n"
-                    "property float z\nend_header\n")
+    header = ("ply\nformat {} 1.0\n"
+              "element vertex 1\nproperty float x\nproperty float y\n"
+              "property float z\nend_header\n")
+    path.write_text(header.format("binary_little_endian"))
     with pytest.raises(UnsupportedFormat, match="binary"):
         parse_cloud_file(path)
+    # A real body is not UTF-8 text; the header's format line comes first.
+    for fmt in ("binary_little_endian", "binary_big_endian"):
+        path.write_bytes(header.format(fmt).encode("ascii")
+                         + b"\x00\x00\x80\xff" * 3)
+        with pytest.raises(UnsupportedFormat,
+                           match="binary PLY is not supported"):
+            parse_cloud_file(path)
 
 
 def test_ply_rejects_vertex_list_property(tmp_path):

@@ -35,6 +35,7 @@ from ransacreg import (
     run_ransac,
     time_metric_evaluation,
 )
+from ransacreg import evalbench as evalbench_module
 from ransacreg.evalbench import (_DATA_AXES, _ROLE_CORR, _ROLE_NUISANCE,
                                  _ROLE_RANSAC, _ROLE_SCENE, _degrade_scene,
                                  _derive_seed)
@@ -451,6 +452,39 @@ def test_stream_prefix_argmax_equals_shorter_run():
         np.testing.assert_array_equal(result.best_transform.translation,
                                       translations[best])
     assert len(winners) > 2  # the prefixes really pick different winners
+
+
+def test_bad_data_axis_values_raise_before_any_scene(monkeypatch):
+    """Each data axis's values pass synth's own rules when the config is
+    built, and the inlier ratio's count against the correspondence config
+    before trial 0's scene; budgets beyond int64 fail at construction."""
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return generate_scene(cfg)
+
+    monkeypatch.setattr(evalbench_module, "generate_scene", counting)
+    plans = (MetricPlan(kind="mae"),)
+    bad = {"inlier_ratio": (0.0, 1.5, -0.5), "noise": (-1.0,),
+           "decimation-uniform": (0.0, 2.0), "decimation-random": (0.0, 1.5),
+           "holes": (-1.0, 100.0, 200.0), "iterations": (2.0**63, 1e300)}
+    for axis, values in bad.items():
+        for v in values:
+            with pytest.raises(BadConfig):
+                EvalConfig(metrics=plans, sweep_axis=axis,
+                           sweep_values=(1.0, v) if axis != "holes" else (0.0, v))
+    with pytest.raises(BadConfig):
+        EvalConfig(metrics=plans, sweep_axis="t", sweep_values=(7.5,),
+                   iterations=2**63)
+    # 0.05 of 40 correspondences is 2 inliers, below the 3 a solve needs.
+    cfg = EvalConfig(metrics=plans, sweep_axis="inlier_ratio",
+                     sweep_values=(0.5, 0.05), trials=1, iterations=5)
+    with pytest.raises(BadConfig, match="3 inliers"):
+        run_experiment(cfg, SCENE, CORRS)
+    assert calls == []
+    run_experiment(replace(cfg, sweep_values=(0.5,)), SCENE, CORRS)
+    assert len(calls) == 1
 
 
 def test_run_experiment_rejects_iterations_below_one():

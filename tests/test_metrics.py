@@ -501,24 +501,19 @@ def test_hypothesis_score_requires_finite_value():
     assert score.kind is MetricKind.MAE and score.value == 1.5
 
 
-def test_batch_scoring_equals_sequential_bitwise(monkeypatch):
-    """The RANSAC fast path must reproduce per-hypothesis scoring bit for
-    bit, for every correspondence kind scored together from one shared
-    error pass, across chunk boundaries: 7 chunks of 10 rows with a partial
-    last chunk. A helper thread computes each chunk's errors while the
-    caller reduces the previous one, so consecutive chunks must land in
-    different result buffers, and only the helper may run the kernel."""
+def _check_batch_equals_sequential(monkeypatch, kinds, expect_squared):
     monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", 700)  # 10 rows
     kernel = metrics_module._errors_batch
     caller = threading.current_thread()
     seen = []
 
-    def checked_kernel(rot, trans, src, tgt, out=None):
+    def checked_kernel(rot, trans, src, tgt, out=None, squared=False):
         assert out is not None and threading.current_thread() is not caller
+        assert squared is expect_squared
         if seen:
             assert not np.shares_memory(out[0], seen[-1])
         seen.append(out[0])
-        return kernel(rot, trans, src, tgt, out=out)
+        return kernel(rot, trans, src, tgt, out=out, squared=squared)
 
     monkeypatch.setattr(metrics_module, "_errors_batch", checked_kernel)
     rng = np.random.default_rng(45)
@@ -526,7 +521,7 @@ def test_batch_scoring_equals_sequential_bitwise(monkeypatch):
     h = 64
     rotations = np.stack([random_rotation(rng) for _ in range(h)])
     translations = rng.standard_normal((h, 3)) * 10
-    specs = [spec_for(kind, t=t) for kind in sorted(CORRESPONDENCE_KINDS)
+    specs = [spec_for(kind, t=t) for kind in sorted(kinds)
              for t in (2.5, 7.5)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the two threads finely
@@ -546,6 +541,25 @@ def test_batch_scoring_equals_sequential_bitwise(monkeypatch):
         np.testing.assert_array_equal(batch[k].view(np.uint64),
                                       scalar.view(np.uint64),
                                       err_msg=f"{spec.kind} t={spec.t}")
+
+
+def test_batch_scoring_equals_sequential_bitwise(monkeypatch):
+    """The RANSAC fast path must reproduce per-hypothesis scoring bit for
+    bit, for every correspondence kind scored together from one shared
+    error pass, across chunk boundaries: 7 chunks of 10 rows with a partial
+    last chunk. A helper thread computes each chunk's errors while the
+    caller reduces the previous one, so consecutive chunks must land in
+    different result buffers, and only the helper may run the kernel."""
+    _check_batch_equals_sequential(monkeypatch, CORRESPONDENCE_KINDS,
+                                   expect_squared=False)
+
+
+def test_zero_outlier_batch_scoring_equals_sequential_bitwise(monkeypatch):
+    """The same with only the kinds whose outliers score 0: the kernel
+    stops at the squared errors and the pass takes the sqrt of the
+    candidates only, with one cut per threshold."""
+    _check_batch_equals_sequential(
+        monkeypatch, metrics_module._ZERO_OUTLIER_KINDS, expect_squared=True)
 
 
 def _masked_scatter_scores(spec, e):
@@ -584,6 +598,34 @@ def _masked_scatter_scores(spec, e):
     return s
 
 
+def _check_against_masked_scatter(monkeypatch, specs, kernel_rows, errors,
+                                  expect_squared):
+    """Stub the kernel to return `kernel_rows` (hypothesis i is row i,
+    addressed by its x translation) and compare one pass over every spec
+    with the masked scatter on `errors`; chunks of 5 rows with a partial
+    last chunk."""
+    def kernel(rot, trans, src, tgt, out=None, squared=False):
+        assert squared is expect_squared
+        return kernel_rows[trans[:, 0].astype(np.intp)]
+
+    h, n = kernel_rows.shape
+    monkeypatch.setattr(metrics_module, "_errors_batch", kernel)
+    monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", 5 * n)
+    translations = np.zeros((h, 3))
+    translations[:, 0] = np.arange(h)
+    batch, seconds = _corr_values_batch(
+        specs, np.broadcast_to(np.eye(3), (h, 3, 3)), translations,
+        np.zeros((n, 3)), np.zeros((n, 3)))
+    assert seconds.shape == (len(specs),) and np.all(seconds >= 0.0)
+
+    for k, spec in enumerate(specs):
+        reference = np.array([np.sum(_masked_scatter_scores(spec, row))
+                              for row in errors])
+        np.testing.assert_array_equal(batch[k].view(np.uint64),
+                                      reference.view(np.uint64),
+                                      err_msg=f"{spec.kind} t={spec.t}")
+
+
 def test_scoring_matches_masked_scatter_reference_bitwise(monkeypatch):
     """Every kind at three thresholds, scored in one pass, so the shared
     candidate cut (the largest t) differs from most specs' own t; errors
@@ -602,29 +644,37 @@ def test_scoring_matches_masked_scatter_reference_bitwise(monkeypatch):
     errors[0] = 1e300  # every spec's outlier branch only
     errors[1] = 0.0    # every spec's inlier branch only
 
-    # Hypothesis i is the error row i, addressed by its x translation.
-    monkeypatch.setattr(metrics_module, "_errors_batch",
-                        lambda rot, trans, src, tgt, out=None:
-                        errors[trans[:, 0].astype(np.intp)])
-    monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", 5 * n)
-    translations = np.zeros((h, 3))
-    translations[:, 0] = np.arange(h)
-    batch, seconds = _corr_values_batch(
-        specs, np.broadcast_to(np.eye(3), (h, 3, 3)), translations,
-        np.zeros((n, 3)), np.zeros((n, 3)))
-    assert seconds.shape == (len(specs),) and np.all(seconds >= 0.0)
-
-    for k, spec in enumerate(specs):
-        reference = np.array([np.sum(_masked_scatter_scores(spec, row))
-                              for row in errors])
-        np.testing.assert_array_equal(batch[k].view(np.uint64),
-                                      reference.view(np.uint64),
-                                      err_msg=f"{spec.kind} t={spec.t}")
+    _check_against_masked_scatter(monkeypatch, specs, errors, errors,
+                                  expect_squared=False)
+    for spec in specs:
         for row in errors:
             np.testing.assert_array_equal(
                 score_errors(spec, row).view(np.uint64),
                 _masked_scatter_scores(spec, row).view(np.uint64),
                 err_msg=f"{spec.kind} t={spec.t}")
+
+
+def test_zero_outlier_scoring_matches_masked_scatter_reference_bitwise(
+        monkeypatch):
+    """Only zero-outlier kinds, at four thresholds (0.1's square is
+    inexact): the kernel returns squared errors, which include 0, each
+    t^2, its neighbouring floats and inf (a square that overflowed), and
+    the reference is the masked scatter on their sqrt."""
+    ts = (0.1, 0.75, 2.5, 7.5)
+    specs = [spec_for(kind, t=t, pr=0.6)
+             for kind in sorted(metrics_module._ZERO_OUTLIER_KINDS) for t in ts]
+    specials = [0.0, np.inf] + [v for t in ts for v in (
+        t * t, np.nextafter(t * t, -np.inf), np.nextafter(t * t, np.inf))]
+    rng = np.random.default_rng(47)
+    h, n = 23, 40
+    squares = rng.uniform(0.0, 100.0, size=(h, n))
+    where = rng.permutation(h * n)[:3 * len(specials)]
+    squares.flat[where] = np.tile(specials, 3)
+    squares[0] = np.inf  # every spec's outlier branch only
+    squares[1] = 0.0     # every spec's inlier branch only
+
+    _check_against_masked_scatter(monkeypatch, specs, squares,
+                                  np.sqrt(squares), expect_squared=True)
 
 
 def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):

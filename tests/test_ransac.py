@@ -59,6 +59,9 @@ def test_config_validation():
         RansacConfig(metric=MAE, seed=-1)
     with pytest.raises(BadConfig):
         RansacConfig(metric=MAE, seed=0, iterations=0)
+    with pytest.raises(BadConfig):  # beyond int64, the sampler's count type
+        RansacConfig(metric=MAE, seed=0, iterations=2**63)
+    assert RansacConfig(metric=MAE, seed=0, iterations=2**63 - 1).iterations
     with pytest.raises(BadConfig):
         RansacConfig(metric=MAE, seed=0, sample_size=4)
     with pytest.raises(BadConfig):
