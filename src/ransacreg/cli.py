@@ -57,6 +57,9 @@ def _metric_list(text: str) -> tuple[MetricKind, ...]:
     return tuple(kinds)
 
 
+_MAX_RANGE_VALUES = 10_000  # a range's values, counted before any is built
+
+
 def _values_spec(text: str) -> tuple[float, ...]:
     """Sweep values: either "a,b,c" or an inclusive range "start:stop:step"."""
     try:
@@ -68,6 +71,8 @@ def _values_spec(text: str) -> tuple[float, ...]:
             if step <= 0.0 or stop < start:
                 raise ValueError
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            if count > _MAX_RANGE_VALUES:
+                raise ValueError
             return tuple(start + i * step for i in range(count))
         values = tuple(float(p) for p in text.split(",") if p.strip())
         if not values:

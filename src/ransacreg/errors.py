@@ -6,6 +6,8 @@ one base class at an API boundary (the CLI maps them to exit code 2).
 
 from __future__ import annotations
 
+import numbers
+
 
 class RansacRegError(Exception):
     """Base class for all errors raised by this package."""
@@ -69,6 +71,15 @@ class MissingClouds(InvalidInput):
 
 class BadConfig(RansacRegError):
     """A generator configuration violates its documented constraints."""
+
+
+def _check_integers(config, **minimums: int) -> None:
+    """BadConfig unless each named seed or count is integral, >= its minimum."""
+    for name, low in minimums.items():
+        value = getattr(config, name)
+        if not (isinstance(value, numbers.Integral) and value >= low):
+            rule = "non-negative" if low == 0 else f">= {low}"
+            raise BadConfig(f"{name} must be {rule} and integral, got {value!r}")
 
 
 # --- evaluation -------------------------------------------------------------

@@ -29,7 +29,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BadConfig, EmptyGroundTruth, InvalidInput, InvalidSpec
+from .errors import (BadConfig, EmptyGroundTruth, InvalidInput, InvalidSpec,
+                     _check_integers)
 from .geom import PointCloud, RigidTransform
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, MetricKind, MetricSpec,
                       _as_kind, _pair_errors, evaluate_hypothesis,
@@ -139,6 +140,7 @@ class EvalConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, trials=1, iterations=1, base_seed=0)
         object.__setattr__(self, "metrics", tuple(self.metrics))
         values = tuple(sorted(float(v) for v in self.sweep_values))
         object.__setattr__(self, "sweep_values", values)
@@ -157,19 +159,16 @@ class EvalConfig:
             for plan in self.metrics:
                 for v in values:
                     replace(plan, t_pr=v)
-        if self.trials < 1:
-            raise BadConfig("trials must be >= 1")
         if not _positive(self.d_rmse_pr):
             raise BadConfig(f"d_rmse_pr must be finite and positive, got {self.d_rmse_pr}")
-        if not 1 <= self.iterations <= _MAX_ITERATIONS:
-            raise BadConfig("iterations must lie in [1, 2**63 - 1]")
-        if self.sweep_axis == "iterations" and round(values[-1]) > _MAX_ITERATIONS:
-            raise BadConfig(f"iterations sweep values must round to at most "
-                            f"2**63 - 1, got {values[-1]}")
+        if self.iterations > _MAX_ITERATIONS:
+            raise BadConfig(f"iterations must be <= 2**63 - 1, got {self.iterations}")
+        if self.sweep_axis == "iterations" and not (
+                1 <= round(values[0]) and round(values[-1]) <= _MAX_ITERATIONS):
+            raise BadConfig(f"iterations sweep values must round into "
+                            f"[1, 2**63 - 1], got {values}")
         if not (0.0 < self.hole_fraction < 1.0):
             raise BadConfig("hole_fraction must lie in (0, 1)")
-        if self.base_seed < 0:
-            raise BadConfig("base_seed must be non-negative")
         # The data axes' values pass synth's own rules before any trial runs.
         rule = {"inlier_ratio": _check_inlier_ratio,
                 "noise": _check_sigma_pr,
@@ -189,16 +188,12 @@ class ExperimentRow:
 
     accuracy = correct trials / trials. mean_rmse_pr averages RMSE (in
     resolution units) over the CORRECT trials only (NaN when none).
-    mean_eval_time_s is the average scoring wall time per registered pair:
-    the part of the trial's shared error (or nearest-neighbour) pass that
-    held up the scoring thread (the kernel runs one chunk ahead on a helper
-    thread; the zero-outlier kinds' candidate extraction below the trial's
-    largest threshold counts in full) plus this cell's own reduction,
-    prorated to the cell's share of the stream on the iterations axis. The
-    zero-outlier cells reduce from the largest threshold down, and at each
-    smaller threshold the first of them in metric order also pays for
-    narrowing the candidates to it. Sampling and solving are shared and
-    excluded, so it is not the cost of a separate RANSAC run.
+    mean_eval_time_s is the cell's eval time per registered pair, as
+    :func:`~ransacreg.metrics._corr_values_batch` defines it (for a cloud
+    metric, the shared nearest-neighbour pass plus the cell's reduction),
+    prorated to the cell's share of the stream on the iterations axis.
+    Sampling and solving are shared and excluded, so it is not the cost
+    of a separate RANSAC run.
     index_build_time_s is the average target-index build time per pair (0
     for correspondence metrics).
     """
@@ -302,8 +297,6 @@ def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
     axis, values = cfg.sweep_axis, cfg.sweep_values
     budgets = [int(round(v)) if axis == "iterations" else cfg.iterations
                for v in values]
-    if min(budgets) < 1:
-        raise BadConfig(f"iterations must be >= 1, got {min(budgets)}")
     if axis == "inlier_ratio":  # the inlier count also needs corr_cfg's size
         for v in values:
             replace(corr_cfg, inlier_ratio=v)

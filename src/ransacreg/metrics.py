@@ -203,9 +203,9 @@ def _require_kind(spec: MetricSpec, *, cloud: bool) -> None:
 
 def _errors_batch(rotations: np.ndarray, translations: np.ndarray,
                   sources: np.ndarray, targets: np.ndarray, *,
-                  out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-                  squared: bool = False) -> np.ndarray:
-    """Errors ||R p_s + t - p_t|| for a batch of transforms, shape (h, n).
+                  out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                  ) -> np.ndarray:
+    """Squared errors ||R p_s + t - p_t||^2 for h transforms, shape (h, n).
 
     Built purely from elementwise ufuncs (no einsum or BLAS), so every
     entry is computed by the same scalar expression tree regardless of
@@ -216,12 +216,10 @@ def _errors_batch(rotations: np.ndarray, translations: np.ndarray,
     it that way on its helper thread. Without `out` (single transforms,
     RMSE grading, replay) the result and one (2, h, n) scratch block are
     allocated, so the returned array does not hold the scratch alive.
-    Either way each element goes through the same ufunc sequence.
-    `squared=True` returns the squared errors, the same array before its
-    final `np.sqrt`; since sqrt is correctly rounded, taking it later on
-    any subset gives the same bits. The kernel reads the point columns
-    `sources[:, k]` and `targets[:, k]`, which column-major (N, 3) arrays
-    keep unit-stride.
+    Since sqrt is correctly rounded, the error e is the sqrt of this
+    result, taken on any subset with the same bits. The kernel reads the
+    point columns `sources[:, k]` and `targets[:, k]`, which column-major
+    (N, 3) arrays keep unit-stride.
     """
     if out is None:
         h, n = rotations.shape[0], sources.shape[0]
@@ -239,14 +237,15 @@ def _errors_batch(rotations: np.ndarray, translations: np.ndarray,
         acc *= acc
         if k:
             e2 += acc
-    return e2 if squared else np.sqrt(e2, out=e2)
+    return e2
 
 
 def _pair_errors(rotation: np.ndarray, translation: np.ndarray,
                  sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Transformation errors ||R p_s + t - p_t|| for parallel point arrays."""
-    return _errors_batch(rotation[np.newaxis], translation[np.newaxis],
-                         sources, targets)[0]
+    e2 = _errors_batch(rotation[np.newaxis], translation[np.newaxis],
+                       sources, targets)[0]
+    return np.sqrt(e2, out=e2)
 
 
 def transformation_error(c: Correspondence, transform: RigidTransform) -> float:
@@ -402,27 +401,28 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     """Scores of many (R, t) hypotheses against one correspondence set,
     for several correspondence specs at once; see :func:`_score_pass`.
 
-    The shared pass computes each chunk of errors once and extracts its
-    candidates, the positions and errors below t_max, the largest t of the
-    kinds whose outliers score 0 (inlier-count, mae, mse, log-cosh, exp).
-    Such specs are reduced from the largest t to the smallest, ties in the
-    callers' order, and the first spec at each smaller t narrows the
-    previous threshold's candidates once; every spec at that t evaluates
-    its inlier formula on that one set, and inlier-count counts it per
-    row. The other kinds score the dense chunk. Rows come back in the
-    callers' order. When every spec is a zero-outlier kind, no score reads
-    an outlier's error, so the kernel stops at e^2 and only the errors
-    below a bound just above t_max^2 get their sqrt and the exact e < t_max
-    check. A helper thread runs the error kernel one chunk ahead, into the
-    one of two reused result buffers that the calling thread is not
-    reducing, while the calling thread extracts candidates and runs every
-    reduction in chunk order. So the shared-pass seconds count the kernel
-    time that the reductions did not overlap plus the extraction, and a
+    A helper thread runs the :func:`_errors_batch` kernel one chunk ahead,
+    into the one of two reused buffers that the calling thread is not
+    reading. The calling thread prepares each chunk of squared errors once
+    for every spec. If a kind whose outliers score 0 (inlier-count, mae,
+    mse, log-cosh, exp) is in the pass, it extracts the candidates: the
+    errors with e^2 <= fl(t_max^2), t_max the largest t of these kinds, get
+    their sqrt and the exact e < t_max check. If a kind that grades
+    outliers (huber, quantile, neg-quantile) is in the pass, it then takes
+    the sqrt of the whole chunk in place, for those kinds to score. The
+    zero-outlier specs are reduced from the largest t down, ties in the
+    callers' order; the first spec at each smaller t narrows the
+    candidates once, and every spec at that t reads that set (inlier-count
+    counts it per row). Rows come back in the callers' order.
+
+    Eval time: seconds[k] is the shared pass plus spec k's own reductions.
+    The shared pass is the kernel wait that the reductions did not hide,
+    the extraction and the chunk's sqrt, all on the calling thread; a
     smaller threshold's cut counts as its first spec's own time.
-    Element-for-element identical to :func:`evaluate_hypothesis` per
-    hypothesis and spec: errors come from the batch-size-independent
-    :func:`_errors_batch` kernel, and each row is summed with every score
-    at its own position and 0 elsewhere, exactly like a standalone 1-D sum.
+
+    Element-for-element identical to :func:`evaluate_hypothesis`: the
+    kernel is batch-size independent, sqrt is correctly rounded on any
+    subset, and each row sums every score at its position and 0 elsewhere.
     """
     h = rotations.shape[0]
     n = sources.shape[0]
@@ -437,14 +437,12 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     # threshold's set at once raised the sweep-t benchmark's peak RSS by
     # 0.05-1.55 MB in 6 of 6 pairs (2-core Xeon).
     order = sorted(range(len(specs)), key=lambda k: -specs[k].t)
-    squared = all(s.kind in _ZERO_OUTLIER_KINDS for s in specs)
-    # Errors are non-negative, so t_max = 0 (no zero-outlier spec) leaves
-    # no candidates. Squared: sqrt is monotone and correctly rounded, so
-    # sqrt(x) < t_max means x < t_max^2 exactly, and such a double x is at
-    # most fl(t_max * t_max).
+    # t_max = 0 marks a pass without zero-outlier specs, and no candidates.
+    # sqrt is monotone and correctly rounded, so sqrt(x) < t_max means
+    # x < t_max^2 exactly, and such a double x is at most fl(t_max * t_max).
     t_max = max((s.t for s in specs if s.kind in _ZERO_OUTLIER_KINDS),
                 default=0.0)
-    bound = np.nextafter(t_max * t_max, np.inf) if squared else t_max
+    dense = any(s.kind not in _ZERO_OUTLIER_KINDS for s in specs)
     # One zeroed scatter buffer, reused by every spec and chunk; each
     # reduction clears what it wrote.
     sink = np.zeros(rows * n)
@@ -454,18 +452,16 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     results = np.empty((2, rows, n))
     scratch = np.empty((2, rows, n))
 
-    def candidates(e):
+    def candidates(e2):
         """[t_max, flat positions, errors] of the errors below t_max."""
-        flat = np.flatnonzero(e < bound)
-        ce = e.reshape(-1)[flat]
-        if squared:
-            np.sqrt(ce, out=ce)
-            keep = ce < t_max
-            flat, ce = flat[keep], ce[keep]
-        return [t_max, flat, ce]
+        flat = np.flatnonzero(e2 <= t_max * t_max)
+        ce = e2.reshape(-1)[flat]
+        np.sqrt(ce, out=ce)
+        keep = ce < t_max
+        return [t_max, flat[keep], ce[keep]]
 
     def reduce(spec, block):
-        e, cut = block
+        e, cut = block  # e holds e^2 when no spec grades outliers
         if spec.kind not in _ZERO_OUTLIER_KINDS:
             return np.sum(_score_array(spec, e), axis=1)
         if spec.t < cut[0]:  # the first spec at this t narrows the set
@@ -491,8 +487,7 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
             return pool.submit(
                 _errors_batch, rotations[lo:lo + r], translations[lo:lo + r],
                 sources, targets, out=(results[lo // chunk % 2, :r],
-                                       scratch[0, :r], scratch[1, :r]),
-                squared=squared)
+                                       scratch[0, :r], scratch[1, :r]))
 
         def blocks():
             pending = kernel(0)
@@ -500,7 +495,10 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
                 e = pending.result()
                 if lo + chunk < h:  # the next chunk, while this one is reduced
                     pending = kernel(lo + chunk)
-                yield slice(lo, lo + chunk), (e, candidates(e))
+                cut = candidates(e) if t_max else None
+                if dense:  # after the extraction, which reads e^2
+                    np.sqrt(e, out=e)
+                yield slice(lo, lo + chunk), (e, cut)
 
         return _score_pass(specs, order, h, blocks(), reduce)
 

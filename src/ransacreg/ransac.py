@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, PersistentDegeneracy, TooFewCorrespondences
+from .errors import (BadConfig, PersistentDegeneracy, TooFewCorrespondences,
+                     _check_integers)
 from .geom import (RigidTransform, _degeneracy_threshold, _estimate_rigid_batch,
                    _triangle_areas, triangle_area)
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, HypothesisScore,
@@ -69,15 +70,12 @@ class RansacConfig:
     degeneracy_retries: int = 100
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise BadConfig(f"seed must be non-negative, got {self.seed}")
-        if not 1 <= self.iterations <= _MAX_ITERATIONS:
-            raise BadConfig(
-                f"iterations must lie in [1, 2**63 - 1], got {self.iterations}")
+        _check_integers(self, seed=0, iterations=1, sample_size=SAMPLE_SIZE,
+                        degeneracy_retries=1)
+        if self.iterations > _MAX_ITERATIONS:
+            raise BadConfig(f"iterations must be <= 2**63 - 1, got {self.iterations}")
         if self.sample_size != SAMPLE_SIZE:
             raise BadConfig("only 3-point minimal samples are supported")
-        if self.degeneracy_retries < 1:
-            raise BadConfig("degeneracy_retries must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +84,10 @@ class RegistrationResult:
 
     `best_iteration` is the 0-based index of the first iteration that
     attained the maximum score. `elapsed_eval_time` covers hypothesis
-    scoring only: for a correspondence metric, the wait for each chunk of
-    errors that the helper thread had not finished while the previous
-    chunk was reduced, the cut of the chunk's candidates at the metric's
-    threshold (inlier-count, mae, mse, log-cosh and exp only), plus the
-    reductions. `elapsed_total_time` covers the whole run.
+    scoring only: the metric's eval time as
+    :func:`~ransacreg.metrics._corr_values_batch` defines it (for a cloud
+    metric, its nearest-neighbour pass and reduction).
+    `elapsed_total_time` covers the whole run.
     """
 
     best_transform: RigidTransform

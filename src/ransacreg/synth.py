@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, InvalidInput
+from .errors import BadConfig, InvalidInput, _check_integers
 from .geom import PointCloud, RigidTransform, rotation_about_axis
 from .metrics import CorrespondenceSet
 from .spatial import _as_array, _as_points, _frozen_points, _scan_knn
@@ -69,6 +69,7 @@ class SceneConfig:
     points: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_integers(self, n_points=10, seed=0)
         if self.shape not in SHAPES:
             raise BadConfig(f"shape must be one of {SHAPES}, got {self.shape!r}")
         if self.shape == "file":
@@ -81,16 +82,12 @@ class SceneConfig:
             if points.shape[0] < 10:
                 raise BadConfig("file-shaped scenes need at least 10 points")
             object.__setattr__(self, "points", points)
-        elif self.n_points < 10:
-            raise BadConfig(f"n_points must be >= 10, got {self.n_points}")
         if not 0.0 < self.diameter < math.inf:
             raise BadConfig("diameter must be positive and finite")
         if not math.isfinite(self.gt_rotation_angle):
             raise BadConfig("rotation angle must be finite")
         if not 0.0 <= self.gt_translation_magnitude < math.inf:
             raise BadConfig("translation magnitude must be >= 0 and finite")
-        if self.seed < 0:
-            raise BadConfig(f"seed must be non-negative, got {self.seed}")
 
 
 def _check_inlier_ratio(inlier_ratio: float) -> None:
@@ -114,13 +111,12 @@ class CorrespondenceConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, n_correspondences=3, seed=0)
         _check_inlier_ratio(self.inlier_ratio)
         if not 0.0 <= self.inlier_sigma_pr < math.inf:
             raise BadConfig("inlier_sigma_pr must be >= 0 and finite")
         if round(self.n_correspondences * self.inlier_ratio) < 3:
             raise BadConfig("need at least 3 inliers for a solvable problem")
-        if self.seed < 0:
-            raise BadConfig(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

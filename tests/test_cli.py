@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ransacreg.cli import CSV_HEADER, _metric_list, _values_spec, main
+from ransacreg.cli import (CSV_HEADER, _MAX_RANGE_VALUES, _metric_list,
+                           _values_spec, main)
 from ransacreg.metrics import MetricKind
 
 
@@ -47,8 +48,13 @@ def test_values_spec_forms():
     assert _values_spec("1:3:1") == (1.0, 2.0, 3.0)
     assert _values_spec("4:15:1") == tuple(float(v) for v in range(4, 16))
     assert _values_spec("0.5:1.0:0.25") == (0.5, 0.75, 1.0)
+    # A range is counted before its values are built: the cap parses, and
+    # one value more is rejected before a range of 1e300 values is tried.
+    cap = _MAX_RANGE_VALUES
+    assert len(_values_spec(f"1:{cap}:1")) == cap
     for bad in ("", "a,b", "1:2", "1:2:0", "5:1:1", "1:2:3:4",
-                "0:inf:1", "-inf:0:1", "0:1e300:1e-300"):
+                "0:inf:1", "-inf:0:1", "0:1e300:1e-300",
+                f"1:{cap + 1}:1", "0:1e300:1"):
         with pytest.raises(argparse.ArgumentTypeError):
             _values_spec(bad)
 
@@ -237,10 +243,11 @@ def test_bench_is_deterministic_modulo_timing(capsys, tmp_path):
 
 
 def test_bench_bad_values_spec_is_usage_error(capsys, tmp_path):
-    code, out, err = run_cli(
-        capsys, "bench", "--metrics", "mae", "--sweep", "t",
-        "--values", "9:4:1", "--out", str(tmp_path / "x.csv"))
-    assert code == 1
+    for spec in ("9:4:1", f"1:{_MAX_RANGE_VALUES + 1}:1"):  # above the cap
+        code, out, err = run_cli(
+            capsys, "bench", "--metrics", "mae", "--sweep", "t",
+            "--values", spec, "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and "bad values spec" in err
 
 
 def test_bench_missing_required_flag_is_usage_error(capsys, tmp_path):

@@ -189,6 +189,36 @@ def test_eval_config_validation():
     assert set(SWEEP_AXES) >= {"t", "iterations", "d_rmse", "inlier_ratio"}
 
 
+_CONFIG_BASES = {
+    RansacConfig: {"metric": MetricSpec(kind="mae", t=7.5), "seed": 0},
+    EvalConfig: {"metrics": (MetricPlan(kind="mae"),), "sweep_axis": "t",
+                 "sweep_values": (7.5,)},
+    SceneConfig: {},
+    CorrespondenceConfig: {"n_correspondences": 100, "inlier_ratio": 0.5},
+}
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (RansacConfig, "seed", 1.5), (RansacConfig, "seed", "3"),
+    (RansacConfig, "iterations", 5.5), (RansacConfig, "sample_size", 3.0),
+    (RansacConfig, "degeneracy_retries", 2.5),
+    (EvalConfig, "trials", 1.5), (EvalConfig, "iterations", 10.0),
+    (EvalConfig, "base_seed", "0"),
+    (SceneConfig, "n_points", 200.5), (SceneConfig, "seed", None),
+    (CorrespondenceConfig, "n_correspondences", 50.5),
+    (CorrespondenceConfig, "seed", 2.0),
+])
+def test_seed_and_count_fields_must_be_integers(cls, field, value):
+    """Every seed and count field takes any integer, numpy's included, and
+    raises BadConfig at construction for anything else, rather than a raw
+    TypeError later inside numpy or `range`."""
+    base = _CONFIG_BASES[cls]
+    default = getattr(cls(**base), field)
+    assert getattr(cls(**{**base, field: np.int64(default)}), field) == default
+    with pytest.raises(BadConfig, match=f"{field} must be .* and integral"):
+        cls(**{**base, field: value})
+
+
 def test_eval_config_sorts_sweep_values():
     cfg = EvalConfig(metrics=(MetricPlan(kind="mae"),), sweep_axis="t",
                      sweep_values=(9.0, 4.0, 7.5))
@@ -488,11 +518,10 @@ def test_bad_data_axis_values_raise_before_any_scene(monkeypatch):
 
 
 def test_run_experiment_rejects_iterations_below_one():
-    cfg = EvalConfig(metrics=(MetricPlan(kind="mae"),),
-                     sweep_axis="iterations", sweep_values=(0.4, 10.0),
-                     trials=1)
     with pytest.raises(BadConfig):
-        run_experiment(cfg, SCENE, CORRS)
+        EvalConfig(metrics=(MetricPlan(kind="mae"),),
+                   sweep_axis="iterations", sweep_values=(0.4, 10.0),
+                   trials=1)
 
 
 # ------------------------------------------------- metric behavior at scale

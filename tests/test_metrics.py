@@ -501,19 +501,18 @@ def test_hypothesis_score_requires_finite_value():
     assert score.kind is MetricKind.MAE and score.value == 1.5
 
 
-def _check_batch_equals_sequential(monkeypatch, kinds, expect_squared):
+def _check_batch_equals_sequential(monkeypatch, kinds):
     monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", 700)  # 10 rows
     kernel = metrics_module._errors_batch
     caller = threading.current_thread()
     seen = []
 
-    def checked_kernel(rot, trans, src, tgt, out=None, squared=False):
+    def checked_kernel(rot, trans, src, tgt, out=None):
         assert out is not None and threading.current_thread() is not caller
-        assert squared is expect_squared
         if seen:
             assert not np.shares_memory(out[0], seen[-1])
         seen.append(out[0])
-        return kernel(rot, trans, src, tgt, out=out, squared=squared)
+        return kernel(rot, trans, src, tgt, out=out)
 
     monkeypatch.setattr(metrics_module, "_errors_batch", checked_kernel)
     rng = np.random.default_rng(45)
@@ -550,16 +549,22 @@ def test_batch_scoring_equals_sequential_bitwise(monkeypatch):
     last chunk. A helper thread computes each chunk's errors while the
     caller reduces the previous one, so consecutive chunks must land in
     different result buffers, and only the helper may run the kernel."""
-    _check_batch_equals_sequential(monkeypatch, CORRESPONDENCE_KINDS,
-                                   expect_squared=False)
+    _check_batch_equals_sequential(monkeypatch, CORRESPONDENCE_KINDS)
 
 
 def test_zero_outlier_batch_scoring_equals_sequential_bitwise(monkeypatch):
-    """The same with only the kinds whose outliers score 0: the kernel
-    stops at the squared errors and the pass takes the sqrt of the
-    candidates only, with one cut per threshold."""
+    """The same with only the kinds whose outliers score 0: the pass takes
+    the sqrt of the candidates only, with one cut per threshold."""
+    _check_batch_equals_sequential(monkeypatch,
+                                   metrics_module._ZERO_OUTLIER_KINDS)
+
+
+def test_outlier_grading_batch_scoring_equals_sequential_bitwise(monkeypatch):
+    """The same with only the kinds that grade outliers (huber, quantile,
+    neg-quantile): the pass extracts no candidates and takes the sqrt of
+    each whole chunk."""
     _check_batch_equals_sequential(
-        monkeypatch, metrics_module._ZERO_OUTLIER_KINDS, expect_squared=True)
+        monkeypatch, CORRESPONDENCE_KINDS - metrics_module._ZERO_OUTLIER_KINDS)
 
 
 def _masked_scatter_scores(spec, e):
@@ -598,17 +603,15 @@ def _masked_scatter_scores(spec, e):
     return s
 
 
-def _check_against_masked_scatter(monkeypatch, specs, kernel_rows, errors,
-                                  expect_squared):
-    """Stub the kernel to return `kernel_rows` (hypothesis i is row i,
-    addressed by its x translation) and compare one pass over every spec
-    with the masked scatter on `errors`; chunks of 5 rows with a partial
-    last chunk."""
-    def kernel(rot, trans, src, tgt, out=None, squared=False):
-        assert squared is expect_squared
-        return kernel_rows[trans[:, 0].astype(np.intp)]
+def _check_against_masked_scatter(monkeypatch, specs, squares):
+    """Stub the kernel to return the squared errors `squares` (hypothesis i
+    is row i, addressed by its x translation) and compare one pass over
+    every spec with the masked scatter on their sqrt; chunks of 5 rows
+    with a partial last chunk. Returns the errors."""
+    def kernel(rot, trans, src, tgt, out=None):
+        return squares[trans[:, 0].astype(np.intp)]
 
-    h, n = kernel_rows.shape
+    h, n = squares.shape
     monkeypatch.setattr(metrics_module, "_errors_batch", kernel)
     monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", 5 * n)
     translations = np.zeros((h, 3))
@@ -618,34 +621,42 @@ def _check_against_masked_scatter(monkeypatch, specs, kernel_rows, errors,
         np.zeros((n, 3)), np.zeros((n, 3)))
     assert seconds.shape == (len(specs),) and np.all(seconds >= 0.0)
 
+    errors = np.sqrt(squares)
     for k, spec in enumerate(specs):
         reference = np.array([np.sum(_masked_scatter_scores(spec, row))
                               for row in errors])
         np.testing.assert_array_equal(batch[k].view(np.uint64),
                                       reference.view(np.uint64),
                                       err_msg=f"{spec.kind} t={spec.t}")
+    return errors
 
 
 def test_scoring_matches_masked_scatter_reference_bitwise(monkeypatch):
     """Every kind at three thresholds, scored in one pass, so the shared
-    candidate cut (the largest t) differs from most specs' own t; errors
-    include 0, each t, its neighbouring floats and 1e300; chunks of 5
-    rows with a partial last chunk."""
+    candidate cut (the largest t) differs from most specs' own t. The
+    squared errors include 0, each t^2 (exact, so e = t occurs), its
+    neighbouring floats, the squares of t's neighbouring floats and a huge
+    square; chunks of 5 rows with a partial last chunk."""
     ts = (0.75, 2.5, 7.5)
     specs = [spec_for(kind, t=t, m=0.7, pr=0.6)
              for kind in sorted(CORRESPONDENCE_KINDS) for t in ts]
-    specials = [0.0, 1e300] + [v for t in ts for v in (
-        t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf))]
+    # The kernel's largest square inside the coordinate domain is
+    # 3 (7.5 COORD_LIMIT)^2 ~ 1.7e152; every outlier-grading score of it
+    # stays finite.
+    huge = 1.6e152
+    specials = [0.0, huge] + [v for t in ts for v in (
+        t * t, np.nextafter(t * t, -np.inf), np.nextafter(t * t, np.inf),
+        np.nextafter(t, -np.inf) ** 2, np.nextafter(t, np.inf) ** 2)]
     rng = np.random.default_rng(46)
     h, n = 23, 40
-    errors = rng.uniform(0.0, 10.0, size=(h, n))
+    squares = rng.uniform(0.0, 100.0, size=(h, n))
     where = rng.permutation(h * n)[:3 * len(specials)]
-    errors.flat[where] = np.tile(specials, 3)
-    errors[0] = 1e300  # every spec's outlier branch only
-    errors[1] = 0.0    # every spec's inlier branch only
+    squares.flat[where] = np.tile(specials, 3)
+    squares[0] = huge  # every spec's outlier branch only
+    squares[1] = 0.0   # every spec's inlier branch only
+    assert all(np.sqrt(t * t) == t for t in ts)
 
-    _check_against_masked_scatter(monkeypatch, specs, errors, errors,
-                                  expect_squared=False)
+    errors = _check_against_masked_scatter(monkeypatch, specs, squares)
     for spec in specs:
         for row in errors:
             np.testing.assert_array_equal(
@@ -657,9 +668,8 @@ def test_scoring_matches_masked_scatter_reference_bitwise(monkeypatch):
 def test_zero_outlier_scoring_matches_masked_scatter_reference_bitwise(
         monkeypatch):
     """Only zero-outlier kinds, at four thresholds (0.1's square is
-    inexact): the kernel returns squared errors, which include 0, each
-    t^2, its neighbouring floats and inf (a square that overflowed), and
-    the reference is the masked scatter on their sqrt."""
+    inexact): the squared errors include 0, each t^2, its neighbouring
+    floats and inf (a square that overflowed)."""
     ts = (0.1, 0.75, 2.5, 7.5)
     specs = [spec_for(kind, t=t, pr=0.6)
              for kind in sorted(metrics_module._ZERO_OUTLIER_KINDS) for t in ts]
@@ -673,8 +683,7 @@ def test_zero_outlier_scoring_matches_masked_scatter_reference_bitwise(
     squares[0] = np.inf  # every spec's outlier branch only
     squares[1] = 0.0     # every spec's inlier branch only
 
-    _check_against_masked_scatter(monkeypatch, specs, squares,
-                                  np.sqrt(squares), expect_squared=True)
+    _check_against_masked_scatter(monkeypatch, specs, squares)
 
 
 def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
