@@ -82,6 +82,13 @@ def _check_integers(config, **minimums: int) -> None:
             raise BadConfig(f"{name} must be {rule} and integral, got {value!r}")
 
 
+def _check_reals(**values) -> None:
+    """BadConfig unless each named value is a real number (a bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise BadConfig(f"{name} must be a real number, got {value!r}")
+
+
 # --- evaluation -------------------------------------------------------------
 
 class EmptyGroundTruth(RansacRegError):

@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (BadConfig, EmptyGroundTruth, InvalidInput, InvalidSpec,
-                     _check_integers)
+                     _check_integers, _check_reals)
 from .geom import PointCloud, RigidTransform
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, MetricKind, MetricSpec,
                       _as_kind, _pair_errors, evaluate_hypothesis,
@@ -115,6 +115,7 @@ class MetricPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _as_kind(self.kind))
+        _check_reals(t_pr=self.t_pr, m=self.m, t_overlap_pr=self.t_overlap_pr)
         try:
             self.bind(1.0)
         except InvalidSpec as exc:
@@ -141,8 +142,17 @@ class EvalConfig:
 
     def __post_init__(self):
         _check_integers(self, trials=1, iterations=1, base_seed=0)
+        _check_reals(d_rmse_pr=self.d_rmse_pr,
+                     hole_fraction=self.hole_fraction)
         object.__setattr__(self, "metrics", tuple(self.metrics))
-        values = tuple(sorted(float(v) for v in self.sweep_values))
+        try:
+            values = tuple(self.sweep_values)
+        except TypeError:
+            raise BadConfig(f"sweep_values must be a sequence of numbers, "
+                            f"got {self.sweep_values!r}") from None
+        for v in values:
+            _check_reals(sweep_values=v)
+        values = tuple(sorted(float(v) for v in values))
         object.__setattr__(self, "sweep_values", values)
         if not self.metrics:
             raise BadConfig("need at least one metric")
@@ -190,7 +200,8 @@ class ExperimentRow:
     resolution units) over the CORRECT trials only (NaN when none).
     mean_eval_time_s is the cell's eval time per registered pair, as
     :func:`~ransacreg.metrics._corr_values_batch` defines it (for a cloud
-    metric, the shared nearest-neighbour pass plus the cell's reduction),
+    metric, the calling thread's wait on the nearest-neighbour pool plus
+    the cell's reduction),
     prorated to the cell's share of the stream on the iterations axis.
     Sampling and solving are shared and excluded, so it is not the cost
     of a separate RANSAC run.

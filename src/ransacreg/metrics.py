@@ -14,7 +14,9 @@ an outlier.
 
 from __future__ import annotations
 
+import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import EmptyCloud, InvalidInput, InvalidSpec, MissingClouds
 from .geom import RigidTransform
-from .spatial import NeighborIndex, _as_points, _frozen_points
+from .spatial import NeighborIndex, _as_points, _frozen_points, _leaf_order
 
 __all__ = [
     "Correspondence",
@@ -362,10 +364,7 @@ def score_correspondence(spec: MetricSpec, e: float) -> float:
 # 512 KiB per float64 chunk the kernel's working set fits a 2 MiB L2: on
 # a 2-core Xeon with 2 MiB L2 per core, the serial error pass of a
 # 1000 x 1000 stream took ~20 ms against ~32 ms at twice this cap, and
-# scoring the candidates did not slow. The cloud pass's moved-point buffer
-# holds 3 float64s per source point and obeys the same cap: 2 hypotheses
-# per chunk at 10k points, which kept the `cloud-holes` benchmark's peak
-# RSS within 0.5 % of one query per hypothesis; chunks of 6 added 3 %.
+# scoring the candidates did not slow.
 _BATCH_ELEMENTS = 65_536
 
 
@@ -477,9 +476,7 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
 
     # Only the kernel runs on the helper, into the buffers above, so it
     # allocates nothing there. Candidate extraction and the reductions stay
-    # on this thread, and so does the whole cloud pass: running its chunks
-    # on a helper raised the `cloud-holes` benchmark's peak RSS by 0.6-1.5
-    # MB (2-core Xeon). Leaving the `with` block waits for the kernel in
+    # on this thread. Leaving the `with` block waits for the kernel in
     # flight, also when a step raises.
     with ThreadPoolExecutor(1) as pool:
         def kernel(lo):
@@ -516,23 +513,16 @@ def _cloud_points(kind: MetricKind, source,
     return pts
 
 
-def _cloud_distances(rotations: np.ndarray, translations: np.ndarray,
-                     points: np.ndarray, target_index: NeighborIndex,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Nearest-target distance of every source point moved by each of h
-    hypotheses (R, t), shape (h, n), from one batch query.
-
-    The moved points go to `out[:h]` (shape at least (h, n, 3)), or to a
-    fresh buffer. Each row is bit-identical to moving and querying that
-    hypothesis alone: the move is the same matmul and add per hypothesis,
-    and the index resolves each query point on its own.
+def _cloud_distances(rotation: np.ndarray, translation: np.ndarray,
+                     points: np.ndarray, query) -> np.ndarray:
+    """Nearest-target distance of every source point moved by one
+    hypothesis (R, t), shape (n,): `query` maps the moved (n, 3) points to
+    their distances. A moved point's bits do not depend on its row, so
+    reordering `points` reorders the distances and changes none of them.
     """
-    h, n = rotations.shape[0], points.shape[0]
-    moved = np.empty((h, n, 3)) if out is None else out[:h]
-    for j in range(h):
-        np.matmul(points, rotations[j].T, out=moved[j])
-        moved[j] += translations[j]
-    return target_index.nearest_distances(moved.reshape(h * n, 3)).reshape(h, n)
+    moved = np.matmul(points, rotation.T)
+    moved += translation
+    return query(moved)
 
 
 def _cloud_score(spec: MetricSpec, dists: np.ndarray) -> np.ndarray:
@@ -548,20 +538,47 @@ def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     """Whole-cloud scores of many hypotheses for several cloud specs at
     once; see :func:`_score_pass`.
 
-    The shared pass walks the stream in chunks of hypotheses whose moved
-    points fit `_BATCH_ELEMENTS` float64s, with one reused buffer and one
-    nearest-neighbour query per chunk; every spec reduces the chunk's
-    distance rows.
+    A pool of one thread per CPU core lives for the pass. Each task moves
+    the source cloud by one hypothesis and runs one single-threaded query
+    of the target's k-d tree; the calling thread takes the distance rows
+    in hypothesis order, at most 2 x workers tasks ahead, and every spec
+    reduces each row. The source points are queried in `_leaf_order`, so
+    consecutive queries walk the same branches of the tree, and each row
+    is scattered back to the callers' point order before any reduction:
+    pc-dist's mean sums in the same order as :func:`evaluate_hypothesis_cloud`
+    and every score keeps its bits.
+
+    Eval time: seconds[k] is the calling thread's wait on the pool plus
+    spec k's own reductions.
     """
     h, n = rotations.shape[0], points.shape[0]
-    chunk = max(1, _BATCH_ELEMENTS // (3 * n))
-    moved = np.empty((min(chunk, h), n, 3))
-    blocks = ((slice(lo, lo + chunk),
-               _cloud_distances(rotations[lo:lo + chunk],
-                                translations[lo:lo + chunk], points,
-                                target_index, moved))
-              for lo in range(0, h, chunk))
-    return _score_pass(specs, range(len(specs)), h, blocks, _cloud_score)
+    order = _leaf_order(points)
+    coherent = points[order]
+    tree = target_index._tree
+    workers = os.cpu_count() or 1
+
+    def query(moved):  # one thread per task, not nearest_distances' split
+        return tree.query(moved, workers=1)[0]
+
+    def task(i):
+        row = np.empty(n)
+        row[order] = _cloud_distances(rotations[i], translations[i],
+                                      coherent, query)
+        return row
+
+    # Leaving the `with` block waits for every submitted task and joins the
+    # pool's threads, also when a step raises.
+    with ThreadPoolExecutor(workers) as pool:
+        def blocks():
+            ahead = 2 * workers
+            pending = deque(pool.submit(task, i) for i in range(min(ahead, h)))
+            for i in range(h):
+                row = pending.popleft().result()
+                if i + ahead < h:
+                    pending.append(pool.submit(task, i + ahead))
+                yield slice(i, i + 1), row[np.newaxis]
+
+        return _score_pass(specs, range(len(specs)), h, blocks(), _cloud_score)
 
 
 def evaluate_hypothesis(spec: MetricSpec, transform: RigidTransform,
@@ -590,8 +607,7 @@ def evaluate_hypothesis_cloud(spec: MetricSpec, transform: RigidTransform,
     MissingClouds when `source` or `target_index` is None.
     """
     _require_kind(spec, cloud=True)
-    dists = _cloud_distances(transform.rotation[np.newaxis],
-                             transform.translation[np.newaxis],
+    dists = _cloud_distances(transform.rotation, transform.translation,
                              _cloud_points(spec.kind, source, target_index),
-                             target_index)
-    return HypothesisScore(_cloud_score(spec, dists)[0], spec.kind)
+                             target_index.nearest_distances)
+    return HypothesisScore(_cloud_score(spec, dists[np.newaxis])[0], spec.kind)

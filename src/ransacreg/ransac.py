@@ -86,7 +86,8 @@ class RegistrationResult:
     attained the maximum score. `elapsed_eval_time` covers hypothesis
     scoring only: the metric's eval time as
     :func:`~ransacreg.metrics._corr_values_batch` defines it (for a cloud
-    metric, its nearest-neighbour pass and reduction).
+    metric, the calling thread's wait on the nearest-neighbour pool and
+    its reduction; see :func:`~ransacreg.metrics._cloud_values_batch`).
     `elapsed_total_time` covers the whole run.
     """
 

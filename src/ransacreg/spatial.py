@@ -3,10 +3,13 @@
 Single-point search is a linear scan, `_scan_knn`: numpy distances to
 every point, the k smallest, ties broken by the lowest point index.
 :meth:`NeighborIndex.knn`, :meth:`NeighborIndex.nearest` and hole
-punching use it. The k-d tree serves only the batch queries, which run on
-every CPU core and give the same result for any thread count.
-:meth:`NeighborIndex.nearest_distances` returns the tree's own distances
-(they may differ from a scan's in the last bits);
+punching use it. The k-d tree, with leaves of up to `_LEAF_SIZE` points,
+serves only the batch queries, whose results do not depend on how many
+threads run them. :meth:`NeighborIndex.nearest_distances` splits its rows
+across every CPU core and returns the tree's own distances (they may
+differ from a scan's in the last bits); the cloud metrics' scoring pass
+(:func:`~ransacreg.metrics._cloud_values_batch`) instead queries the tree
+on one thread per hypothesis, with the source points in `_leaf_order`.
 :meth:`NeighborIndex.nearest_other_distances` re-measures in numpy.
 `_as_points` checks point input and `_in_coord_domain` every coordinate.
 """
@@ -28,6 +31,12 @@ __all__ = ["COORD_LIMIT", "NeighborIndex", "build_index"]
 # L ~ 9.8e76 (inf at L = 1e100, NaN at 1e200). The error kernel stays
 # <= 3 (7.5 L)^2, a minimal sample's cross-covariance <= 12 L^2.
 COORD_LIMIT = 1e75
+
+# Points per k-d tree leaf. The `cloud-holes` benchmark's single-threaded
+# queries of source points in `_leaf_order` ran about 10 % faster at 32
+# than at scipy's default of 16, and no faster at 64 (2-core AMD EPYC);
+# the search is exact, so a query's distances are the same at any size.
+_LEAF_SIZE = 32
 
 
 def _as_array(values, name: str) -> np.ndarray:
@@ -123,10 +132,12 @@ class NeighborIndex:
     def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
         """Distance from each query row to its closest indexed point.
 
-        Batch companion to :meth:`nearest` for whole-cloud metrics; only the
-        distances are returned, so tie resolution is irrelevant here. They
-        are the tree's own, not re-measured. The rows are split across every
-        CPU core; each distance is the same for any thread count.
+        Batch companion to :meth:`nearest`; only the distances are
+        returned, so tie resolution is irrelevant here. They are the tree's
+        own, not re-measured. One call splits its rows across every CPU
+        core; each distance is the same for any thread count, so the cloud
+        metrics' scoring pass, which queries the tree on one thread per
+        hypothesis, gets the distances this returns.
         """
         queries = np.asarray(queries, dtype=np.float64)
         d, _ = self._tree.query(queries, workers=-1)
@@ -157,4 +168,11 @@ def build_index(cloud) -> NeighborIndex:
     pts = _frozen_points(cloud, "cloud")
     if pts.shape[0] == 0:
         raise EmptyCloud("cannot index an empty cloud")
-    return NeighborIndex(points=pts, _tree=cKDTree(pts))
+    return NeighborIndex(points=pts, _tree=cKDTree(pts, leafsize=_LEAF_SIZE))
+
+
+def _leaf_order(points: np.ndarray) -> np.ndarray:
+    """A permutation of the rows of `points` that lists them leaf by leaf
+    of a k-d tree built on them, so that neighbouring rows lie close in
+    space and consecutive queries walk the same branches of a tree."""
+    return cKDTree(points, leafsize=_LEAF_SIZE).indices

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, InvalidInput, _check_integers
+from .errors import BadConfig, InvalidInput, _check_integers, _check_reals
 from .geom import PointCloud, RigidTransform, rotation_about_axis
 from .metrics import CorrespondenceSet
 from .spatial import _as_array, _as_points, _frozen_points, _scan_knn
@@ -70,6 +70,9 @@ class SceneConfig:
 
     def __post_init__(self):
         _check_integers(self, n_points=10, seed=0)
+        _check_reals(gt_rotation_angle=self.gt_rotation_angle,
+                     gt_translation_magnitude=self.gt_translation_magnitude,
+                     diameter=self.diameter)
         if self.shape not in SHAPES:
             raise BadConfig(f"shape must be one of {SHAPES}, got {self.shape!r}")
         if self.shape == "file":
@@ -112,6 +115,8 @@ class CorrespondenceConfig:
 
     def __post_init__(self):
         _check_integers(self, n_correspondences=3, seed=0)
+        _check_reals(inlier_ratio=self.inlier_ratio,
+                     inlier_sigma_pr=self.inlier_sigma_pr)
         _check_inlier_ratio(self.inlier_ratio)
         if not 0.0 <= self.inlier_sigma_pr < math.inf:
             raise BadConfig("inlier_sigma_pr must be >= 0 and finite")

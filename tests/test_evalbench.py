@@ -195,6 +195,7 @@ _CONFIG_BASES = {
                  "sweep_values": (7.5,)},
     SceneConfig: {},
     CorrespondenceConfig: {"n_correspondences": 100, "inlier_ratio": 0.5},
+    MetricPlan: {"kind": "mae"},
 }
 
 
@@ -216,6 +217,32 @@ def test_seed_and_count_fields_must_be_integers(cls, field, value):
     default = getattr(cls(**base), field)
     assert getattr(cls(**{**base, field: np.int64(default)}), field) == default
     with pytest.raises(BadConfig, match=f"{field} must be .* and integral"):
+        cls(**{**base, field: value})
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (EvalConfig, "sweep_values", ("a",)),
+    (EvalConfig, "sweep_values", (None,)),
+    (EvalConfig, "sweep_values", (True,)),
+    (EvalConfig, "sweep_values", 7.5),
+    (EvalConfig, "d_rmse_pr", "x"), (EvalConfig, "hole_fraction", None),
+    (MetricPlan, "t_pr", "x"), (MetricPlan, "m", None),
+    (MetricPlan, "t_overlap_pr", False),
+    (CorrespondenceConfig, "inlier_ratio", "x"),
+    (CorrespondenceConfig, "inlier_sigma_pr", None),
+    (SceneConfig, "diameter", "x"), (SceneConfig, "gt_rotation_angle", None),
+    (SceneConfig, "gt_translation_magnitude", True),
+])
+def test_float_fields_must_be_real_numbers(cls, field, value):
+    """Every float field takes any real number (numpy's included) and
+    raises BadConfig at construction for anything else (a bool, None, a
+    string, a scalar for a sequence), rather than a raw TypeError or
+    ValueError from `float` or arithmetic."""
+    base = _CONFIG_BASES[cls]
+    default = getattr(cls(**base), field)
+    cls(**{**base, field: (np.float32(0.5), 5) if field == "sweep_values"
+           else np.float64(default)})
+    with pytest.raises(BadConfig, match=field):
         cls(**{**base, field: value})
 
 

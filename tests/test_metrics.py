@@ -687,8 +687,9 @@ def test_zero_outlier_scoring_matches_masked_scatter_reference_bitwise(
 
 
 def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
-    """The chunked, threaded cloud pass against a frozen copy of the old
-    path: one serial k-d tree query per hypothesis, reduced per row."""
+    """The pooled cloud pass, at pool widths of 1, 2 and more threads than
+    hypotheses, against a frozen copy of the old path: one serial k-d tree
+    query per hypothesis in the callers' point order, reduced per row."""
     x, y, z = np.mgrid[0:6, 0:6, 0:6]
     lattice = 2.0 * np.column_stack([x.ravel(), y.ravel(), z.ravel()])
     tgt = np.vstack([lattice, lattice[:20]])  # duplicated target points
@@ -696,8 +697,9 @@ def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
     rng = np.random.default_rng(46)
     src = lattice + rng.uniform(-0.9, 0.9, size=lattice.shape)
     src[0] = lattice[0] + np.array([0.5, 0.0, 0.0])  # exactly at t_overlap
-    transforms = [RigidTransform.identity()] + [
-        random_rigid(rng, t_scale=0.5) for _ in range(6)]  # odd length
+    far = RigidTransform(random_rotation(rng), np.array([4e5, -3e5, 2e5]))
+    transforms = [RigidTransform.identity(), far] + [
+        random_rigid(rng, t_scale=0.5) for _ in range(12)]
     rotations = np.array([tr.rotation for tr in transforms])
     translations = np.array([tr.translation for tr in transforms])
     specs = (spec_for(MetricKind.PC_DIST),
@@ -710,14 +712,26 @@ def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
                 float(np.count_nonzero(d < 1.25))]
 
     want = np.array([reference(r, t) for r, t in zip(rotations, translations)]).T
-    # The identity hypothesis scores the threshold point as an outlier.
+    # The identity hypothesis scores the threshold point as an outlier;
+    # the far one scores every point as one.
     d0, _ = index._tree.query(src[0])
     assert d0 == 0.5
-    n = src.shape[0]
-    for rows in (1, 2):  # 7 hypotheses: chunks of 1, or 2 with a partial last
-        monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", rows * 3 * n)
+    assert want[0, 1] < -1e5 and want[1, 1] == want[2, 1] == 0.0
+    distances = metrics_module._cloud_distances
+    for width in (1, 2, len(transforms) + 3):
+        monkeypatch.setattr(metrics_module.os, "cpu_count", lambda: width)
+        threads = set()
+
+        def recording(*args):
+            threads.add(threading.current_thread())
+            return distances(*args)
+
+        monkeypatch.setattr(metrics_module, "_cloud_distances", recording)
         got, _ = _cloud_values_batch(specs, rotations, translations, src, index)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert 1 <= len(threads) <= width
+        assert threading.current_thread() not in threads
+    monkeypatch.undo()
     for k, spec in enumerate(specs):
         for i, tr in enumerate(transforms):
             one = evaluate_hypothesis_cloud(spec, tr, src, index).value

@@ -434,6 +434,43 @@ def test_error_kernel_failure_on_helper_thread_reaches_caller(monkeypatch):
     assert threading.active_count() == baseline
 
 
+def test_cloud_task_failure_on_pool_thread_reaches_caller(monkeypatch):
+    """The cloud pass moves and queries each hypothesis in a task on its
+    thread pool; an exception a task raises must reach run_ransac's caller
+    as the same object, and no pool thread may outlive either run."""
+    monkeypatch.setattr(metrics_module.os, "cpu_count", lambda: 3)
+    rng = np.random.default_rng(64)
+    corrs, gt = make_corrs(rng, n=50, outlier_ratio=0.3)
+    index = build_index(gt.apply(corrs.sources))
+    spec = MetricSpec(kind=MetricKind.PC_DIST, t=7.5, pr=1.0)
+    cfg = RansacConfig(metric=spec, seed=6, iterations=40)
+    baseline = threading.active_count()
+    run_ransac(cfg, corrs, source=corrs.sources, target_index=index)
+    assert threading.active_count() == baseline
+
+    distances = metrics_module._cloud_distances
+    caller = threading.current_thread()
+    failure = RuntimeError("cloud task failed")
+    raised_on = []
+    lock = threading.Lock()
+
+    def failing_distances(*args):
+        with lock:
+            fail = len(raised_on) == 10
+            raised_on.append(threading.current_thread() if fail else None)
+        if fail:
+            raise failure
+        return distances(*args)
+
+    monkeypatch.setattr(metrics_module, "_cloud_distances", failing_distances)
+    with pytest.raises(RuntimeError) as excinfo:
+        run_ransac(cfg, corrs, source=corrs.sources, target_index=index)
+    assert excinfo.value is failure
+    thread = next(t for t in raised_on if t is not None)
+    assert thread is not caller
+    assert threading.active_count() == baseline
+
+
 def test_run_ransac_single_iteration():
     rng = np.random.default_rng(60)
     corrs, _ = make_corrs(rng, n=30, outlier_ratio=0.0)

@@ -150,10 +150,11 @@ def test_batch_queries_do_not_depend_on_thread_count():
 def _tied_clouds(draw):
     """Points on a small integer grid, some rows repeated, in drawn order,
     times a drawn scale; queries on the half grid, so exact distance ties
-    (equidistant points, duplicates, queries on a point) are common."""
-    base = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 10), st.just(3)),
+    (equidistant points, duplicates, queries on a point) are common. Up to
+    200 rows, so the k-d tree splits into several leaves, repeats included."""
+    base = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 150), st.just(3)),
                            elements=st.integers(-2, 2).map(float)))
-    repeats = draw(st.lists(st.integers(0, len(base) - 1), max_size=6))
+    repeats = draw(st.lists(st.integers(0, len(base) - 1), max_size=50))
     pts = np.vstack([base, base[repeats]])
     pts = pts[draw(st.permutations(range(len(pts))))]
     queries = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3)),
