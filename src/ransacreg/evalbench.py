@@ -199,10 +199,8 @@ class ExperimentRow:
     accuracy = correct trials / trials. mean_rmse_pr averages RMSE (in
     resolution units) over the CORRECT trials only (NaN when none).
     mean_eval_time_s is the cell's eval time per registered pair, as
-    :func:`~ransacreg.metrics._corr_values_batch` defines it (for a cloud
-    metric, the calling thread's wait on the nearest-neighbour pool plus
-    the cell's reduction),
-    prorated to the cell's share of the stream on the iterations axis.
+    :func:`~ransacreg.metrics._score_pass` defines it, prorated to the
+    cell's share of the stream on the iterations axis.
     Sampling and solving are shared and excluded, so it is not the cost
     of a separate RANSAC run.
     index_build_time_s is the average target-index build time per pair (0
@@ -357,7 +355,9 @@ def time_metric_evaluation(spec: MetricSpec, transforms,
     """Average wall-clock seconds to score one hypothesis with `spec`.
 
     Times only the scoring calls over the given transforms (at least 100
-    recommended for stable numbers); sampling, solving, and index build
+    recommended for stable numbers), one after another on the calling
+    thread, which runs each call's work itself (the cloud metrics'
+    nearest-neighbour query included); sampling, solving, and index build
     are excluded. Raises :class:`InvalidInput` with no hypotheses and
     whatever the scoring function raises for missing or malformed input.
     """

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DegenerateSample, InsufficientPairs, InvalidInput,
                      TooFewPoints)
-from .spatial import (COORD_LIMIT, _as_points, _frozen_points,
+from .spatial import (COORD_LIMIT, _as_indices, _as_points, _frozen_points,
                       _in_coord_domain, build_index)
 
 __all__ = [
@@ -61,7 +61,7 @@ class PointCloud:
 
     def select(self, indices) -> "PointCloud":
         """New cloud containing self.points[indices] in the given order."""
-        return PointCloud(self.points[np.asarray(indices)])
+        return PointCloud(self.points[_as_indices(indices)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,9 +23,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyCloud, InvalidInput, InvalidSpec, MissingClouds
+from .errors import (BadConfig, EmptyCloud, InvalidInput, InvalidSpec,
+                     MissingClouds, _check_reals)
 from .geom import RigidTransform
-from .spatial import NeighborIndex, _as_points, _frozen_points, _leaf_order
+from .spatial import (NeighborIndex, _as_indices, _as_points, _frozen_points,
+                      _leaf_order)
 
 __all__ = [
     "Correspondence",
@@ -140,7 +142,7 @@ class CorrespondenceSet:
         return Correspondence(self.sources[j], self.targets[j])
 
     def take(self, indices) -> "CorrespondenceSet":
-        idx = np.asarray(indices)
+        idx = _as_indices(indices)
         return CorrespondenceSet(self.sources[idx], self.targets[idx])
 
 
@@ -151,7 +153,8 @@ class MetricSpec:
     All distances are world units. `t` is the inlier threshold, `m` the
     quantile weight, `t_overlap` the overlap-count radius (defaults to
     2 * pr when omitted), and `pr` the cloud resolution used to express
-    LOG-COSH residuals in resolution units.
+    LOG-COSH residuals in resolution units. Each must be a real number (a
+    bool or a numeric string is not) in its domain; else InvalidSpec.
     """
 
     kind: MetricKind
@@ -162,15 +165,22 @@ class MetricSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _as_kind(self.kind))
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "m", float(self.m))
-        object.__setattr__(self, "pr", float(self.pr))
+        try:
+            _check_reals(pr=self.pr, t=self.t, m=self.m)
+            if self.t_overlap is not None:
+                _check_reals(t_overlap=self.t_overlap)
+        except BadConfig as exc:
+            raise InvalidSpec(str(exc)) from None
+        for name in ("pr", "t", "m"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        # pr first: a cloud of coincident points binds t = t_pr * pr = 0,
+        # and the zero resolution is the cause to report.
+        if not (np.isfinite(self.pr) and self.pr > 0.0):
+            raise InvalidSpec(f"resolution pr must be positive, got {self.pr}")
         if not (np.isfinite(self.t) and self.t > 0.0):
             raise InvalidSpec(f"threshold t must be positive, got {self.t}")
         if not (0.0 < self.m < 1.0):
             raise InvalidSpec(f"quantile weight m must lie in (0, 1), got {self.m}")
-        if not (np.isfinite(self.pr) and self.pr > 0.0):
-            raise InvalidSpec(f"resolution pr must be positive, got {self.pr}")
         t_ov = 2.0 * self.pr if self.t_overlap is None else float(self.t_overlap)
         if not (np.isfinite(t_ov) and t_ov > 0.0):
             raise InvalidSpec(f"t_overlap must be positive, got {t_ov}")
@@ -376,8 +386,14 @@ def _score_pass(specs, order, h: int, blocks, reduce
     `reduce(spec, data)` turns one block's data into that spec's scores,
     for the spec indices in `order` within each block.
     Returns (values, seconds): values[k, i] is specs[k]'s score of
-    hypothesis i; seconds[k] is the time spent producing the shared data
-    plus spec k's own reductions.
+    hypothesis i, and seconds[k] is spec k's eval time.
+
+    Eval time, the one definition behind every eval-time field and
+    column: the calling thread's wall time spent advancing `blocks` (the
+    shared pass, as far as this thread does it or waits for it) plus the
+    time of spec k's own `reduce` calls. Work that `reduce` does once for
+    several specs counts for the spec whose call did it; work that other
+    threads finish while this one reduces is not counted.
     """
     values = np.empty((len(specs), h))
     own_s = np.zeros(len(specs))
@@ -414,10 +430,9 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     candidates once, and every spec at that t reads that set (inlier-count
     counts it per row). Rows come back in the callers' order.
 
-    Eval time: seconds[k] is the shared pass plus spec k's own reductions.
-    The shared pass is the kernel wait that the reductions did not hide,
-    the extraction and the chunk's sqrt, all on the calling thread; a
-    smaller threshold's cut counts as its first spec's own time.
+    Eval time is :func:`_score_pass`'s. Here the shared pass is the
+    kernel wait that the reductions did not hide, the extraction and the
+    chunk's sqrt; a smaller threshold's cut counts for its first spec.
 
     Element-for-element identical to :func:`evaluate_hypothesis`: the
     kernel is batch-size independent, sqrt is correctly rounded on any
@@ -514,15 +529,16 @@ def _cloud_points(kind: MetricKind, source,
 
 
 def _cloud_distances(rotation: np.ndarray, translation: np.ndarray,
-                     points: np.ndarray, query) -> np.ndarray:
+                     points: np.ndarray, target_index) -> np.ndarray:
     """Nearest-target distance of every source point moved by one
-    hypothesis (R, t), shape (n,): `query` maps the moved (n, 3) points to
-    their distances. A moved point's bits do not depend on its row, so
+    hypothesis (R, t), shape (n,), by one
+    :meth:`~ransacreg.spatial.NeighborIndex.nearest_distances` call on the
+    calling thread. A moved point's bits do not depend on its row, so
     reordering `points` reorders the distances and changes none of them.
     """
     moved = np.matmul(points, rotation.T)
     moved += translation
-    return query(moved)
+    return target_index.nearest_distances(moved)
 
 
 def _cloud_score(spec: MetricSpec, dists: np.ndarray) -> np.ndarray:
@@ -539,38 +555,34 @@ def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     once; see :func:`_score_pass`.
 
     A pool of one thread per CPU core lives for the pass. Each task moves
-    the source cloud by one hypothesis and runs one single-threaded query
-    of the target's k-d tree; the calling thread takes the distance rows
-    in hypothesis order, at most 2 x workers tasks ahead, and every spec
-    reduces each row. The source points are queried in `_leaf_order`, so
-    consecutive queries walk the same branches of the tree, and each row
-    is scattered back to the callers' point order before any reduction:
-    pc-dist's mean sums in the same order as :func:`evaluate_hypothesis_cloud`
-    and every score keeps its bits.
+    the source cloud by one hypothesis and calls
+    `target_index.nearest_distances` once; the calling thread takes the
+    distance rows in hypothesis order, at most 2 x width tasks ahead, and
+    every spec reduces each row. The source points are queried in
+    `_leaf_order`, so consecutive queries walk the same branches of the
+    tree, and each row is scattered back to the callers' point order
+    before any reduction: pc-dist's mean sums in the same order as
+    :func:`evaluate_hypothesis_cloud` and every score keeps its bits.
 
-    Eval time: seconds[k] is the calling thread's wait on the pool plus
-    spec k's own reductions.
+    Eval time is :func:`_score_pass`'s. Here the shared pass is the
+    calling thread's wait on the pool.
     """
     h, n = rotations.shape[0], points.shape[0]
     order = _leaf_order(points)
     coherent = points[order]
-    tree = target_index._tree
-    workers = os.cpu_count() or 1
-
-    def query(moved):  # one thread per task, not nearest_distances' split
-        return tree.query(moved, workers=1)[0]
+    width = os.cpu_count() or 1
 
     def task(i):
         row = np.empty(n)
         row[order] = _cloud_distances(rotations[i], translations[i],
-                                      coherent, query)
+                                      coherent, target_index)
         return row
 
     # Leaving the `with` block waits for every submitted task and joins the
     # pool's threads, also when a step raises.
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(width) as pool:
         def blocks():
-            ahead = 2 * workers
+            ahead = 2 * width
             pending = deque(pool.submit(task, i) for i in range(min(ahead, h)))
             for i in range(h):
                 row = pending.popleft().result()
@@ -609,5 +621,5 @@ def evaluate_hypothesis_cloud(spec: MetricSpec, transform: RigidTransform,
     _require_kind(spec, cloud=True)
     dists = _cloud_distances(transform.rotation, transform.translation,
                              _cloud_points(spec.kind, source, target_index),
-                             target_index.nearest_distances)
+                             target_index)
     return HypothesisScore(_cloud_score(spec, dists[np.newaxis])[0], spec.kind)

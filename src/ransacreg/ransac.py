@@ -85,9 +85,7 @@ class RegistrationResult:
     `best_iteration` is the 0-based index of the first iteration that
     attained the maximum score. `elapsed_eval_time` covers hypothesis
     scoring only: the metric's eval time as
-    :func:`~ransacreg.metrics._corr_values_batch` defines it (for a cloud
-    metric, the calling thread's wait on the nearest-neighbour pool and
-    its reduction; see :func:`~ransacreg.metrics._cloud_values_batch`).
+    :func:`~ransacreg.metrics._score_pass` defines it.
     `elapsed_total_time` covers the whole run.
     """
 

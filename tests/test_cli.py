@@ -195,6 +195,15 @@ def test_register_rejects_unequal_unpaired_clouds(capsys, tmp_path):
     assert "equal-sized" in err
 
 
+def test_register_coincident_cloud_reports_zero_resolution(capsys, tmp_path):
+    dup = tmp_path / "dup.xyz"
+    dup.write_text("1 2 3\n" * 4)
+    code, out, err = run_cli(capsys, "register", str(dup), str(dup))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "resolution" in err
+
+
 def test_register_missing_file_is_data_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "register",
                              str(tmp_path / "none.xyz"),

@@ -47,6 +47,14 @@ def test_point_cloud_len_and_select():
     assert len(sub) == 3
 
 
+def test_point_cloud_select_with_no_indices_selects_nothing():
+    cloud = PointCloud(np.arange(15, dtype=np.float64).reshape(5, 3))
+    for none in ([], (), np.array([], dtype=np.int64), np.zeros(5, dtype=bool)):
+        assert cloud.select(none).points.shape == (0, 3)
+    mask = np.array([False, True, False, False, True])
+    np.testing.assert_array_equal(cloud.select(mask).points, cloud.points[[1, 4]])
+
+
 def test_point_cloud_resolution_matches_free_function():
     rng = np.random.default_rng(3)
     cloud = PointCloud(rng.normal(size=(40, 3)))

@@ -34,6 +34,7 @@ from ransacreg import (
 )
 from ransacreg import metrics as metrics_module
 from ransacreg.metrics import _cloud_values_batch, _corr_values_batch
+from ransacreg.spatial import NeighborIndex
 
 from conftest import random_rigid, random_rotation
 
@@ -85,6 +86,17 @@ def test_metric_spec_validation():
         spec_for(MetricKind.OVERLAP_COUNT, t_overlap=-2.0)
     with pytest.raises(ValueError):
         spec_for("not-a-metric")
+    # Anything but a real number is InvalidSpec, not a raw conversion error
+    # and not read as a number.
+    for bad in ("x", "7.5", None, True):
+        with pytest.raises(InvalidSpec, match="must be a real number"):
+            spec_for(MetricKind.MAE, t=bad)
+    for field, bad in (("m", None), ("pr", None), ("t_overlap", "x")):
+        with pytest.raises(InvalidSpec, match=f"{field} must be a real number"):
+            spec_for(MetricKind.OVERLAP_COUNT, **{field: bad})
+    # The resolution is checked before the threshold bound to it.
+    with pytest.raises(InvalidSpec, match="resolution pr"):
+        spec_for(MetricKind.MAE, t=0.0, pr=0.0)
 
 
 def test_metric_spec_t_overlap_defaults_to_twice_resolution():
@@ -129,6 +141,17 @@ def test_empty_correspondence_set():
     empty = CorrespondenceSet.from_items([])
     assert empty.n == 0
     assert evaluate_hypothesis(SPEC, RigidTransform.identity(), empty).value == 0.0
+
+
+def test_take_with_no_indices_selects_nothing():
+    corrs = random_corrs(np.random.default_rng(32), n=5)
+    for none in ([], (), np.array([], dtype=np.int64), np.zeros(5, dtype=bool)):
+        sub = corrs.take(none)
+        assert sub.n == 0 and sub.sources.shape == sub.targets.shape == (0, 3)
+    mask = np.array([True, False, False, True, False])
+    np.testing.assert_array_equal(corrs.take(mask).targets, corrs.targets[[0, 3]])
+    np.testing.assert_array_equal(corrs.take(np.array([4, 4])).sources,
+                                  corrs.sources[[4, 4]])
 
 
 # ------------------------------------------------------ transformation error
@@ -717,20 +740,23 @@ def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
     d0, _ = index._tree.query(src[0])
     assert d0 == 0.5
     assert want[0, 1] < -1e5 and want[1, 1] == want[2, 1] == 0.0
-    distances = metrics_module._cloud_distances
+    distances = NeighborIndex.nearest_distances
     for width in (1, 2, len(transforms) + 3):
         monkeypatch.setattr(metrics_module.os, "cpu_count", lambda: width)
-        threads = set()
+        calls = []
 
-        def recording(*args):
-            threads.add(threading.current_thread())
-            return distances(*args)
+        def recording(self, queries):
+            calls.append(threading.current_thread())
+            return distances(self, queries)
 
-        monkeypatch.setattr(metrics_module, "_cloud_distances", recording)
+        # The pass reaches the tree only through nearest_distances: one
+        # call per hypothesis, each on a pool thread.
+        monkeypatch.setattr(NeighborIndex, "nearest_distances", recording)
         got, _ = _cloud_values_batch(specs, rotations, translations, src, index)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert 1 <= len(threads) <= width
-        assert threading.current_thread() not in threads
+        assert len(calls) == len(transforms)
+        assert 1 <= len(set(calls)) <= width
+        assert threading.current_thread() not in calls
     monkeypatch.undo()
     for k, spec in enumerate(specs):
         for i, tr in enumerate(transforms):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ransacreg
 from ransacreg import EmptyCloud, InvalidInput, KTooLarge, build_index
 
 from conftest import scan_distances, scan_knn, scan_nearest
@@ -144,6 +148,40 @@ def test_batch_queries_do_not_depend_on_thread_count():
     d = pts - pts[idx[:, 1]]
     serial_other = np.sqrt(np.einsum("ij,ij->i", d, d))
     np.testing.assert_array_equal(index.nearest_other_distances(), serial_other)
+
+
+def test_nearest_distances_queries_on_one_worker():
+    """The per-hypothesis query runs on the calling thread alone: the cloud
+    metrics' pool runs one call per thread."""
+    pts = np.random.default_rng(26).normal(size=(50, 3))
+    index = build_index(pts)
+    tree = index._tree
+    seen = []
+
+    class Recorder:
+        def query(self, x, *args, **kwargs):
+            # cKDTree.query(x, k, eps, p, distance_upper_bound, workers)
+            seen.append(args[4] if len(args) > 4 else kwargs.get("workers", 1))
+            return tree.query(x, *args, **kwargs)
+
+    object.__setattr__(index, "_tree", Recorder())
+    got = index.nearest_distances(pts[:7] + 0.25)
+    np.testing.assert_array_equal(got, tree.query(pts[:7] + 0.25)[0])
+    assert seen == [1]
+
+
+def test_only_spatial_touches_the_tree():
+    """Every k-d tree query goes through NeighborIndex: no other module
+    names cKDTree or reads an index's `_tree`."""
+    for path in sorted(Path(ransacreg.__file__).parent.glob("*.py")):
+        if path.name == "spatial.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("cKDTree", "_tree"), path.name
+            elif isinstance(node, (ast.Name, ast.alias)):
+                name = node.id if isinstance(node, ast.Name) else node.name
+                assert name != "cKDTree", path.name
 
 
 @st.composite
