@@ -190,11 +190,12 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_register(args) -> int:
+    # Every input file is read before anything runs or prints.
     source = parse_cloud_file(args.source, args.format)
     target = parse_cloud_file(args.target, args.format)
-    if args.corrs:
-        corrs = parse_correspondence_file(args.corrs)
-    else:
+    corrs = parse_correspondence_file(args.corrs) if args.corrs else None
+    gt = parse_transform_file(args.gt) if args.gt else None
+    if corrs is None:
         if len(source) != len(target):
             raise BadConfig(
                 "without --corrs the clouds must be equal-sized "
@@ -209,8 +210,7 @@ def _cmd_register(args) -> int:
     for row in result.best_transform.matrix3x4():
         print(" ".join(format(v, ".9g") for v in row))
     print(f"score {spec.kind} {result.best_score.value:.6g}")
-    if args.gt:
-        gt = parse_transform_file(args.gt)
+    if gt is not None:
         pairs = np.stack([source.points, gt.apply(source.points)], axis=1)
         print(f"rmse {rmse(result.best_transform, pairs):.6g}")
     return 0

@@ -6,15 +6,22 @@ PLY is recognized and rejected explicitly.
 
 A coordinate token is accepted exactly when Python's `float()` accepts it
 and |value| <= `COORD_LIMIT` (in a transform file 4 `COORD_LIMIT`, the
-translation bound; `RigidTransform` checks the rest). Each file's tokens
-are converted in one pass; a malformed file raises the first error in file
-order, with its line.
+translation bound; `RigidTransform` checks the rest). numpy's C text reader
+(`np.loadtxt`) converts the rows of XYZ clouds, correspondence files and
+PLY vertex blocks. It splits lines on the whitespace `str.split` splits on
+and converts each token with the routine `float()` calls, so a token it
+reads has `float()`'s bits; it refuses more (underscores, non-ASCII
+digits). A file it refuses, or whose rows have the wrong width or an
+out-of-domain value, goes to the per-token walk (`_to_floats`), which
+accepts every token `float()` accepts and raises the first error in file
+order, with its line. Transform files take the walk.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +121,8 @@ def _token_rows(lines: list[str], path: str, width: int | None = None,
 
 def _to_floats(rows, path: str, limit: float = COORD_LIMIT) -> np.ndarray:
     """Every token of `rows()`, an iterator of (line number, tokens), as
-    one flat float64 array of values within +-`limit`.
+    one flat float64 array of values within +-`limit`: the per-token walk
+    that takes every token `float()` takes.
 
     Each token goes through Python's `float()` once and the array gets one
     domain check. If anything is malformed, the rows are walked again in
@@ -136,7 +144,32 @@ def _to_floats(rows, path: str, limit: float = COORD_LIMIT) -> np.ndarray:
     raise AssertionError(f"{path}: malformed, but no token fails to parse")
 
 
+def _read_rows(lines: list[str], width: int, comments: str | None = "#",
+               rows: int | None = None, columns=slice(None)
+               ) -> np.ndarray | None:
+    """The `columns` of `lines` read as float64 rows by numpy's C text
+    reader, or None when the reader refuses a token or a row count, a row
+    is not `width` values wide, there is no row (with `rows`, not exactly
+    `rows` after skipping blank lines) or a kept value is outside
+    +-`COORD_LIMIT`. None means: take the per-token walk."""
+    try:
+        with warnings.catch_warnings():  # blank lines within `rows`, no data
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(lines, np.float64, comments=comments,
+                               max_rows=rows, ndmin=2)
+    except ValueError:
+        return None
+    n = len(table) if rows is None else rows
+    if not n or table.shape != (n, width):
+        return None
+    values = table[:, columns]
+    return values if _in_coord_domain(values) else None
+
+
 def _parse_xyz(lines: list[str], path: str) -> np.ndarray:
+    points = _read_rows(lines, 3)
+    if points is not None:
+        return points
     return _to_floats(
         lambda: _token_rows(lines, path, 3, "coordinates"), path)
 
@@ -219,9 +252,26 @@ def _parse_ply(lines: list[str], path: str) -> np.ndarray:
             f"vertex element lacks x/y/z properties (has {v_props})",
             path, body_start) from None
 
+    # The reader takes a vertex element that comes first. Once its rows
+    # read, the walk raises only where the file ends inside an element:
+    # where the body holds fewer non-blank lines than all elements' rows.
+    body = lines[body_start:]
+    count = vertex[0][1]
+    if elements[0][0] == "vertex" and count and (
+            len(elements) == 1
+            or sum(e[1] for e in elements) <= _non_blank(body)):
+        points = _read_rows(body, len(v_props), comments=None, rows=count,
+                            columns=columns)
+        if points is not None:
+            return points
     return _to_floats(
         lambda: _ply_vertex_rows(lines, elements, body_start, columns, path),
         path)
+
+
+def _non_blank(lines: list[str]) -> int:
+    """How many of `lines` hold a token (`str.split` whitespace)."""
+    return len(lines) - lines.count("") - sum(map(str.isspace, lines))
 
 
 def _ply_vertex_rows(lines: list[str], elements, body_start: int,
@@ -276,7 +326,9 @@ def parse_correspondence_file(path) -> CorrespondenceSet:
     """Read correspondences: one "xs ys zs xt yt zt" line per item."""
     path = str(path)
     lines = _read_lines(path)
-    data = _to_floats(lambda: _token_rows(lines, path, 6), path)
+    data = _read_rows(lines, 6)
+    if data is None:
+        data = _to_floats(lambda: _token_rows(lines, path, 6), path)
     if not len(data):
         raise ParseError("no correspondences found", path)
     data = data.reshape(-1, 6)

@@ -34,6 +34,10 @@ __all__ = ["COORD_LIMIT", "NeighborIndex", "build_index"]
 # <= 3 (7.5 L)^2, a minimal sample's cross-covariance <= 12 L^2.
 COORD_LIMIT = 1e75
 
+# The bound on a moved point's coordinates: an in-domain point moved by an
+# in-domain pose has |R p + t| <= sqrt(3) L + 4 L < 6 L.
+_MOVED_LIMIT = 6 * COORD_LIMIT
+
 # Points per k-d tree leaf. The `cloud-holes` benchmark's single-threaded
 # queries of source points in `_leaf_order` ran about 10 % faster at 32
 # than at scipy's default of 16, and no faster at 64 (2-core AMD EPYC);
@@ -63,11 +67,11 @@ def _in_coord_domain(values: np.ndarray, limit: float = COORD_LIMIT) -> bool:
                                     and values.max() <= limit)
 
 
-def _as_points(points, name: str = "points", *, one: bool = False
-               ) -> np.ndarray:
+def _as_points(points, name: str = "points", *, one: bool = False,
+               limit: float = COORD_LIMIT) -> np.ndarray:
     """The float64 (N, 3) points of a PointCloud, an (N, 3) array-like or
     one (3,) point (float64 input is not copied). Raises InvalidInput for
-    non-numeric input, any other shape, a NaN, inf or |x| > COORD_LIMIT, or
+    non-numeric input, any other shape, a NaN, inf or |x| > `limit`, or
     (with `one`) other than one point; N = 0 passes: the caller decides.
     """
     pts = _as_array(getattr(points, "points", points), name)
@@ -79,8 +83,8 @@ def _as_points(points, name: str = "points", *, one: bool = False
     if pts.ndim != 2 or pts.shape[1] != 3 or (one and pts.shape[0] != 1):
         want = "one (3,) point" if one else "an (N, 3) array or one (3,) point"
         raise InvalidInput(f"{name} must be {want}, got shape {pts.shape}")
-    if not _in_coord_domain(pts):
-        raise InvalidInput(f"{name} has a coordinate outside +-{COORD_LIMIT:g}")
+    if not _in_coord_domain(pts, limit):
+        raise InvalidInput(f"{name} has a coordinate outside +-{limit:g}")
     return pts
 
 
@@ -138,19 +142,23 @@ class NeighborIndex:
             raise KTooLarge(f"k={k} not in [1, {self.point_count}]")
         return _scan_knn(self.points, _as_points(q, "query", one=True)[0], k)
 
-    def nearest_distances(self, queries: np.ndarray) -> np.ndarray:
-        """Distance from each query row to its closest indexed point.
+    def nearest_distances(self, queries) -> np.ndarray:
+        """Distance from each query point, (N, 3) or one (3,), to its
+        closest indexed point, as shape (N,).
 
         Batch companion to :meth:`nearest`; only the distances are
         returned, so tie resolution is irrelevant here. They are the tree's
-        own, not re-measured. The query runs on the calling thread, with
-        scipy's default of one worker: a caller that scores many
-        hypotheses runs one call per thread, as the cloud metrics' pass
-        does, and every distance is the same on any thread.
+        own, not re-measured. The queries may be in-domain points moved by
+        an in-domain pose, so a coordinate may reach `_MOVED_LIMIT`;
+        :class:`InvalidInput` otherwise, as for :func:`_as_points`. The
+        query runs on the calling thread, with scipy's default of one
+        worker: a caller that scores many hypotheses runs one call per
+        thread, as the cloud metrics' pass does, and every distance is the
+        same on any thread.
         """
-        queries = np.asarray(queries, dtype=np.float64)
+        queries = _as_points(queries, "queries", limit=_MOVED_LIMIT)
         d, _ = self._tree.query(queries)
-        return np.asarray(d, dtype=np.float64)
+        return d
 
     def nearest_other_distances(self) -> np.ndarray:
         """For each indexed point, distance to its nearest *other* point.

@@ -156,6 +156,21 @@ def test_register_with_correspondences_and_gt(capsys, tmp_path):
     assert float(fields["rmse"]) < 1e-6  # noise-free inliers: exact recovery
 
 
+def test_register_reads_a_bad_gt_before_it_registers(capsys, tmp_path,
+                                                     monkeypatch):
+    """A malformed --gt exits 2 with empty stdout, and no RANSAC runs."""
+    paths, _ = make_scene_files(capsys, tmp_path)
+    calls = []
+    monkeypatch.setattr("ransacreg.cli.run_ransac",
+                        lambda *a, **k: calls.append(a))
+    code, out, err = run_cli(
+        capsys, "register", paths["src"], paths["tgt"],
+        "--corrs", paths["corrs"], "--gt", paths["corrs"])
+    assert (code, out, calls) == (2, "", [])
+    assert err == (f"error: {paths['corrs']}: expected 12 or 16 numbers "
+                   "for a transform, got 360\n")
+
+
 def test_register_pairs_equal_clouds_by_index(capsys, tmp_path):
     paths, _ = make_scene_files(capsys, tmp_path)
     code, out, err = run_cli(

@@ -321,9 +321,10 @@ def test_transform_file_takes_the_translation_bound(tmp_path):
 # ------------------------------------- one-pass conversion vs per-token parse
 #
 # A frozen copy of the per-token parser that the one-pass conversion
-# replaced: every token through `float()` and `math.isfinite` as its line
-# is reached. The one-pass parser must give the same bits and, on a
-# malformed file, the same first error (message and line).
+# replaced: every token through `float()`, `math.isfinite` and the
+# coordinate domain as its line is reached. The one-pass parser must give
+# the same bits and, on a malformed file, the same first error (message
+# and line).
 
 
 def _ref_parse_float(token, path, lineno):
@@ -333,6 +334,8 @@ def _ref_parse_float(token, path, lineno):
         raise ParseError(f"not a number: {token!r}", path, lineno) from None
     if not math.isfinite(value):
         raise ParseError(f"non-finite coordinate: {token!r}", path, lineno)
+    if abs(value) > COORD_LIMIT:
+        raise ParseError(f"out-of-range coordinate: {token!r}", path, lineno)
     return value
 
 
@@ -565,6 +568,159 @@ def test_bad_vertex_beats_a_ply_that_ends_early(tmp_path):
     assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
     path.write_text(path.read_text().replace("oops", "5"))
     with pytest.raises(ParseError, match="file ends inside element 'face'"):
+        parse_cloud_file(path)
+
+
+# ------------------------------------------ C reader vs the per-token walk
+#
+# numpy's C text reader converts well-formed files; whatever it refuses
+# goes to the per-token walk. Either way the result must be `_ref_parse`'s.
+
+
+def _no_walk(monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("the per-token walk ran")
+    monkeypatch.setattr("ransacreg.cloudio._to_floats", walk)
+
+
+def test_reader_parses_well_formed_files_without_the_walk(tmp_path,
+                                                           monkeypatch):
+    _no_walk(monkeypatch)
+    points = random_points(6, n=50)
+    for suffix in (".xyz", ".ply"):
+        path = tmp_path / f"cloud{suffix}"
+        write_cloud_file(path, PointCloud(points))
+        _same_bits(parse_cloud_file(path).points, points)
+    targets = random_points(7, n=50)
+    path = tmp_path / "corrs.txt"
+    write_correspondence_file(path, CorrespondenceSet(points, targets))
+    back = parse_correspondence_file(path)
+    _same_bits(back.sources, points)
+    _same_bits(back.targets, targets)
+    path = tmp_path / "faces.ply"
+    path.write_text(_plain_ply([["1.5", "2", "-3"], [" ", ""],
+                                ["4", "5e-3", "6"]], faces=2))
+    _same_bits(parse_cloud_file(path).points, [[1.5, 2, -3], [4, 5e-3, 6]])
+
+
+def _plain_ply(rows, n=None, faces=0, face_rows=None, extra=(), tail=()):
+    """A PLY whose vertex rows are `rows` (lists of tokens), with double
+    x y z and the `extra` properties, then `face_rows` (default `faces`) of
+    the `faces` list-face rows it declares, then the lines `tail`. `n`
+    (default: the rows that hold a token) is the declared vertex count."""
+    n = sum(bool(" ".join(r).split()) for r in rows) if n is None else n
+    head = ["ply", "format ascii 1.0", f"element vertex {n}"]
+    head += [f"property double {a}" for a in ("x", "y", "z")]
+    head += [f"property uchar {name}" for name in extra]
+    if faces:
+        head += [f"element face {faces}",
+                 "property list uchar int vertex_indices"]
+    head.append("end_header")
+    body = [" ".join(r) for r in rows]
+    body += ["3 0 1 2"] * (faces if face_rows is None else face_rows)
+    return "\n".join(head + body + list(tail)) + "\n"
+
+
+def _matches_ref(kind, path):
+    """`_parse(kind, path)` gives `_ref_parse`'s bits or its ParseError."""
+    try:
+        want = _ref_parse(kind, path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            _parse(kind, path)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    else:
+        _same_bits(_parse(kind, path), want)
+
+
+def _write_kind(tmp_path, kind, rows, **ply):
+    if kind != "ply":
+        return _write(tmp_path, kind, rows)
+    path = tmp_path / "plain.ply"
+    path.write_text(_plain_ply(rows, **ply), encoding="utf-8")
+    return path
+
+
+# Characters that are whitespace to `str.split` or not, line breaks to
+# `str.splitlines` or not, and a byte-order mark.
+_ODD_CHARS = ["\x00", "\x0b", "\x0c", "\x1c", "\x1f", "\x7f", "\x85",
+              "\xa0", "\u180e", "\u200b", "\u3000", "\ufeff"]
+
+
+def _odd_lines(char, width):
+    """A good row of `width` tokens with `char` before, inside or after a
+    token, or in place of or beside a separating space."""
+    tokens = [f"{v}.5" for v in range(width)]
+    good = " ".join(tokens)
+    lines = [char + good, good + char, tokens[0][:1] + char + good[1:]]
+    for i in range(width - 1):
+        head, tail = " ".join(tokens[:i + 1]), " ".join(tokens[i + 1:])
+        lines += [head + char + tail, head + f" {char} " + tail,
+                  head + char + " " + tail]
+    return good, lines
+
+
+@pytest.mark.parametrize("kind", ["xyz", "ply", "corrs"])
+@pytest.mark.parametrize("char", _ODD_CHARS)
+def test_reader_and_walk_agree_on_odd_characters(tmp_path, kind, char):
+    good, lines = _odd_lines(char, 6 if kind == "corrs" else 3)
+    for line in lines:
+        for rows in ([[line], [good]], [[good], [good], [line]]):
+            _matches_ref(kind, _write_kind(tmp_path, kind, rows))
+
+
+@pytest.mark.parametrize("kind", ["xyz", "ply", "corrs"])
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "nan", "-inf", "inf",
+                                   "1e76", "-1e76", "1e400", "+.5"])
+def test_reader_and_walk_agree_on_odd_tokens(tmp_path, kind, token):
+    width = 6 if kind == "corrs" else 3
+    rows = [["1", "2", "3"] * (width // 3) for _ in range(4)]
+    rows[2][1] = token
+    _matches_ref(kind, _write_kind(tmp_path, kind, rows))
+
+
+@pytest.mark.parametrize("rows", [
+    [["1", "2", "3", "4", "5", "6"]] * 3,
+    [["1", "2", "3"], ["1", "2", "3", "4", "5", "6"], ["1", "2", "3"]],
+    [["1", "2", "3"], ["4", "5"]],
+])
+def test_reader_and_walk_agree_on_xyz_rows_of_the_wrong_width(tmp_path, rows):
+    _matches_ref("xyz", _write_kind(tmp_path, "xyz", rows))
+
+
+@pytest.mark.parametrize("rows,ply", [
+    # A vertex row of the wrong width, alone or among good rows.
+    ([["1", "2", "3", "4"]] * 2, {}),
+    ([["1", "2", "3"], ["1", "2"], ["1", "2", "3"]], {"faces": 2}),
+    # `#` is a token in a PLY body, not a comment.
+    ([["1", "2", "3"], ["1", "2", "#", "3"]], {}),
+    ([["1", "2", "3"], ["1", "2", "3", "#"]], {"n": 2}),
+    ([["1", "2", "3 # note"]], {}),
+    # A non-numeric extra property: the walk ignores it.
+    ([["1", "2", "3", "tag0"], ["4", "5", "6", "7"]], {"extra": ["tag"]}),
+    ([["1", "2", "3", "nan"], ["4", "5", "6", "1e400"]], {"extra": ["c"]}),
+    # Faces that end early, after good or bad vertex rows; blank lines
+    # hold no row.
+    ([["1", "2", "3"], ["4", "5", "6"]], {"faces": 3, "face_rows": 2}),
+    ([["1", "2", "3"], [""], ["4", "5", "6"]],
+     {"faces": 3, "face_rows": 2, "tail": ["", " ", "\t"]}),
+    ([["1", "2", "3"], ["4", "5", "6"]], {"faces": 3, "tail": ["", ""]}),
+    ([["1", "2", "x"], ["4", "5", "6"]], {"faces": 3, "face_rows": 2}),
+    # Fewer vertex rows than declared, with and without faces.
+    ([["1", "2", "3"], ["4", "5", "6"]], {"n": 3}),
+    ([["1", "2", "3"], ["4", "5", "6"]], {"n": 3, "faces": 1}),
+])
+def test_reader_and_walk_agree_on_ply_bodies(tmp_path, rows, ply):
+    path = _write_kind(tmp_path, "ply", rows, **ply)
+    _matches_ref("ply", path)
+
+
+def test_ply_whose_faces_end_early_still_raises(tmp_path):
+    path = tmp_path / "cloud.ply"
+    path.write_text(_plain_ply([["1", "2", "3"], [], ["4", "5", "6"]],
+                               faces=3, face_rows=2, tail=["", "  "]))
+    with pytest.raises(ParseError, match="file ends inside element 'face' "
+                       r"\(2 of 3 rows\)"):
         parse_cloud_file(path)
 
 

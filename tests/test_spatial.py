@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import ransacreg
 from ransacreg import EmptyCloud, InvalidInput, KTooLarge, build_index
+from ransacreg.spatial import COORD_LIMIT
 
 from conftest import scan_distances, scan_knn, scan_nearest
 
@@ -168,6 +169,31 @@ def test_nearest_distances_queries_on_one_worker():
     got = index.nearest_distances(pts[:7] + 0.25)
     np.testing.assert_array_equal(got, tree.query(pts[:7] + 0.25)[0])
     assert seen == [1]
+
+
+@pytest.mark.parametrize("bad", [
+    [[1e300, 0.0, 0.0]], [[np.nan, 0.0, 0.0]], [[0.0, -np.inf, 0.0]],
+    [[6.000001e75, 0.0, 0.0]], np.zeros((2, 2)), np.zeros((1, 3, 1)),
+    [["a", "b", "c"]], [[1.0, 2.0], [3.0]], np.zeros(3, dtype=complex),
+])
+def test_nearest_distances_rejects_malformed_queries(bad):
+    index = build_index(np.eye(3))
+    with pytest.raises(InvalidInput):
+        index.nearest_distances(bad)
+
+
+def test_nearest_distances_takes_moved_points_and_one_point():
+    """A query may be an in-domain point moved by an in-domain pose, up to
+    6 COORD_LIMIT per coordinate; one (3,) point gives shape (1,)."""
+    index = build_index(np.eye(3))
+    far = 6 * COORD_LIMIT
+    np.testing.assert_array_equal(
+        index.nearest_distances([[far, 0.0, 0.0], [0.0, -far, far]]),
+        [far, np.hypot(far, far)])
+    got = index.nearest_distances(np.array([0.0, 0.0, 2.0]))
+    np.testing.assert_array_equal(got, [1.0])
+    assert got.shape == (1,) and got.dtype == np.float64
+    assert index.nearest_distances(np.zeros((0, 3))).shape == (0,)
 
 
 def test_only_spatial_touches_the_tree():
