@@ -14,7 +14,9 @@ reads has `float()`'s bits; it refuses more (underscores, non-ASCII
 digits). A file it refuses, or whose rows have the wrong width or an
 out-of-domain value, goes to the per-token walk (`_to_floats`), which
 accepts every token `float()` accepts and raises the first error in file
-order, with its line. Transform files take the walk.
+order, with its line. An XYZ or correspondence file that the reader finds
+no row in holds only blank and comment lines, and raises its no-data
+error without the walk. Transform files take the walk.
 """
 
 from __future__ import annotations
@@ -149,18 +151,23 @@ def _read_rows(lines: list[str], width: int, comments: str | None = "#",
                ) -> np.ndarray | None:
     """The `columns` of `lines` read as float64 rows by numpy's C text
     reader, or None when the reader refuses a token or a row count, a row
-    is not `width` values wide, there is no row (with `rows`, not exactly
-    `rows` after skipping blank lines) or a kept value is outside
-    +-`COORD_LIMIT`. None means: take the per-token walk."""
+    is not `width` values wide, there are not exactly `rows` rows after
+    skipping blank lines (when `rows` is given) or a kept value is outside
+    +-`COORD_LIMIT`. None means: take the per-token walk. Without `rows`,
+    lines that hold no row (blank and comment lines only, where the walk
+    finds no token either) read as a (0, `width`) array."""
     try:
         with warnings.catch_warnings():  # blank lines within `rows`, no data
             warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(lines, np.float64, comments=comments,
+            # An iterator, not the list: the no-data warning formats its
+            # argument, and a list formats every line.
+            table = np.loadtxt(iter(lines), np.float64, comments=comments,
                                max_rows=rows, ndmin=2)
     except ValueError:
         return None
-    n = len(table) if rows is None else rows
-    if not n or table.shape != (n, width):
+    if rows is None and not len(table):
+        return np.empty((0, width))
+    if table.shape != (len(table) if rows is None else rows, width):
         return None
     values = table[:, columns]
     return values if _in_coord_domain(values) else None

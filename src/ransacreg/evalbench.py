@@ -177,8 +177,7 @@ class EvalConfig:
                 1 <= round(values[0]) and round(values[-1]) <= _MAX_ITERATIONS):
             raise BadConfig(f"iterations sweep values must round into "
                             f"[1, 2**63 - 1], got {values}")
-        if not (0.0 < self.hole_fraction < 1.0):
-            raise BadConfig("hole_fraction must lie in (0, 1)")
+        _check_holes(0, self.hole_fraction)
         # The data axes' values pass synth's own rules before any trial runs.
         rule = {"inlier_ratio": _check_inlier_ratio,
                 "noise": _check_sigma_pr,
@@ -202,7 +201,10 @@ class ExperimentRow:
     :func:`~ransacreg.metrics._score_pass` defines it, prorated to the
     cell's share of the stream on the iterations axis.
     Sampling and solving are shared and excluded, so it is not the cost
-    of a separate RANSAC run.
+    of a separate RANSAC run. For the cloud metrics it covers the queries
+    the shared pass made: a hypothesis stops once an earlier one provably
+    scores at least as high, so it is below the full per-hypothesis cost
+    that :func:`time_metric_evaluation` measures.
     index_build_time_s is the average target-index build time per pair (0
     for correspondence metrics).
     """

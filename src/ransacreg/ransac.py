@@ -85,7 +85,9 @@ class RegistrationResult:
     `best_iteration` is the 0-based index of the first iteration that
     attained the maximum score. `elapsed_eval_time` covers hypothesis
     scoring only: the metric's eval time as
-    :func:`~ransacreg.metrics._score_pass` defines it.
+    :func:`~ransacreg.metrics._score_pass` defines it. For a cloud metric
+    that covers only the queries made before each hypothesis stopped
+    (see :func:`~ransacreg.metrics._cloud_values_batch`).
     `elapsed_total_time` covers the whole run.
     """
 
@@ -231,10 +233,13 @@ def _score_hypotheses(rotations: np.ndarray, translations: np.ndarray, specs,
     """Score every hypothesis of a stream under every spec.
 
     Returns (values, seconds): values[k, i] is specs[k]'s score of
-    hypothesis i, and seconds[k] the time the calling thread spent in the
-    shared pass plus spec k's own reductions. Correspondence specs share
-    one error pass (:func:`~ransacreg.metrics._corr_values_batch`), cloud
-    specs one nearest-neighbour pass
+    hypothesis i, exact wherever i can be a prefix's first maximum, -inf
+    where an earlier hypothesis provably scores at least as high on every
+    cloud spec of the pass; seconds[k] is the time the calling thread
+    spent in the shared pass plus spec k's own reductions. Correspondence
+    specs share one error pass
+    (:func:`~ransacreg.metrics._corr_values_batch`), cloud specs one
+    nearest-neighbour pass
     (:func:`~ransacreg.metrics._cloud_values_batch`), which needs `source`
     and `target_index`; MissingClouds, EmptyCloud or InvalidInput is raised
     before any scoring when they are absent, the source is empty or its

@@ -9,7 +9,9 @@ the one per-hypothesis query: it runs on the calling thread and returns
 the tree's own distances (they may differ from a scan's in the last
 bits). The cloud metrics' scoring pass
 (:func:`~ransacreg.metrics._cloud_values_batch`) runs it on a pool, one
-hypothesis per task, with the source points in `_leaf_order`.
+hypothesis per task, on consecutive blocks of the source points in
+`_leaf_order`, until an earlier hypothesis provably scores at least as
+high.
 :meth:`NeighborIndex.nearest_other_distances` splits its rows across
 every CPU core and re-measures in numpy. The tree resolves each query
 point on its own, so no distance depends on the thread count.

@@ -13,6 +13,7 @@ generator, so replays are bit-identical.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,6 +270,7 @@ def generate_correspondences(scene: ScenePair, cfg: CorrespondenceConfig
 
 
 def _check_sigma_pr(sigma_pr: float) -> None:
+    _check_reals(sigma_pr=sigma_pr)
     if not 0.0 <= sigma_pr < math.inf:
         raise BadConfig("sigma_pr must be >= 0 and finite")
 
@@ -284,6 +286,7 @@ def add_gaussian_noise(cloud: PointCloud, sigma_pr: float, seed: int) -> PointCl
 
 
 def _check_keep_fraction(keep_fraction: float) -> None:
+    _check_reals(keep_fraction=keep_fraction)
     if not (0.0 < keep_fraction <= 1.0):
         raise BadConfig(f"keep_fraction must lie in (0, 1], got {keep_fraction}")
 
@@ -317,8 +320,12 @@ def decimate_random(cloud: PointCloud, keep_fraction: float, seed: int
 
 
 def _check_holes(n_holes: int, hole_fraction: float) -> None:
-    if n_holes < 0:
-        raise BadConfig("n_holes must be >= 0")
+    _check_reals(hole_fraction=hole_fraction)
+    if not (isinstance(n_holes, numbers.Integral) and n_holes >= 0):
+        raise BadConfig(
+            f"n_holes must be non-negative and integral, got {n_holes!r}")
+    if not (0.0 < hole_fraction < 1.0):
+        raise BadConfig(f"hole_fraction must lie in (0, 1), got {hole_fraction}")
     if n_holes * hole_fraction >= 1.0:
         raise BadConfig("holes would consume the whole cloud")
 

@@ -603,6 +603,22 @@ def test_reader_parses_well_formed_files_without_the_walk(tmp_path,
     _same_bits(parse_cloud_file(path).points, [[1.5, 2, -3], [4, 5e-3, 6]])
 
 
+@pytest.mark.parametrize("body", [
+    "", "# only comments\n" * 50, "\n \n\t\n", "# a\n\n  # b\n\x0b\n"],
+    ids=["empty", "comments", "blank", "mixed"])
+def test_files_without_data_rows_raise_without_the_walk(tmp_path, monkeypatch,
+                                                        body):
+    _no_walk(monkeypatch)
+    path = tmp_path / "empty.xyz"
+    path.write_text(body)
+    with pytest.raises(ParseError, match="no points found"):
+        parse_cloud_file(path)
+    path = tmp_path / "empty.txt"
+    path.write_text(body)
+    with pytest.raises(ParseError, match="no correspondences found"):
+        parse_correspondence_file(path)
+
+
 def _plain_ply(rows, n=None, faces=0, face_rows=None, extra=(), tail=()):
     """A PLY whose vertex rows are `rows` (lists of tokens), with double
     x y z and the `extra` properties, then `face_rows` (default `faces`) of

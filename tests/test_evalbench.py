@@ -27,6 +27,7 @@ from ransacreg import (
     SceneConfig,
     ScenePair,
     build_index,
+    evaluate_hypothesis_cloud,
     is_correct,
     generate_correspondences,
     generate_scene,
@@ -509,6 +510,45 @@ def test_stream_prefix_argmax_equals_shorter_run():
         np.testing.assert_array_equal(result.best_transform.translation,
                                       translations[best])
     assert len(winners) > 2  # the prefixes really pick different winners
+
+
+def test_cloud_stream_prefix_argmax_equals_shorter_run(monkeypatch):
+    """The same for pc-dist and overlap-count scored in one pass, as
+    run_experiment scores them, over a 2000-point source of 8 query
+    blocks: hypotheses the pass stops score -inf, and every prefix's
+    argmax is still what run_ransac(iterations=k) returns for that spec,
+    in iteration, score and pose bits, and each winning score has
+    evaluate_hypothesis_cloud's bits."""
+    monkeypatch.setattr("ransacreg.metrics._CLOUD_BLOCK", 256)
+    scene = generate_scene(replace(SCENE, seed=64))
+    corrs, _ = generate_correspondences(scene, CorrespondenceConfig(
+        n_correspondences=200, inlier_ratio=0.1, inlier_sigma_pr=1.0, seed=65))
+    index = build_index(scene.target)
+    specs = tuple(MetricPlan(kind=kind).bind(scene.target.resolution)
+                  for kind in ("pc-dist", "overlap-count"))
+    rotations, translations = _sample_hypotheses(corrs, 66, 400)
+    values, _ = _score_hypotheses(rotations, translations, specs, corrs,
+                                  scene.source, index)
+    assert np.isneginf(values).any()
+    for k, spec in enumerate(specs):
+        winners = set()
+        for n_hyp in (1, 2, 10, 99, 250, 400):
+            best = int(np.argmax(values[k, :n_hyp]))
+            winners.add(best)
+            result = run_ransac(RansacConfig(metric=spec, seed=66,
+                                             iterations=n_hyp),
+                                corrs, scene.source, index)
+            assert result.best_iteration == best, (spec.kind, n_hyp)
+            exact = evaluate_hypothesis_cloud(spec, result.best_transform,
+                                              scene.source, index).value
+            assert (np.float64(result.best_score.value).view(np.uint64)
+                    == values[k, best:best + 1].view(np.uint64)[0]
+                    == np.float64(exact).view(np.uint64))
+            np.testing.assert_array_equal(result.best_transform.rotation,
+                                          rotations[best])
+            np.testing.assert_array_equal(result.best_transform.translation,
+                                          translations[best])
+        assert len(winners) > 2, spec.kind
 
 
 def test_bad_data_axis_values_raise_before_any_scene(monkeypatch):

@@ -763,3 +763,76 @@ def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
             one = evaluate_hypothesis_cloud(spec, tr, src, index).value
             assert np.float64(one).view(np.uint64) == got[k, i:i + 1].view(
                 np.uint64)[0]
+
+
+def test_cloud_batch_stops_hypotheses_an_earlier_one_beats(monkeypatch):
+    """With blocks of 16 of 216 points, the pooled cloud pass stops a
+    hypothesis once an earlier one provably scores at least as high on
+    every spec of the pass, at pool widths of 1, 2 and more threads than
+    hypotheses: every finite score has evaluate_hypothesis_cloud's bits,
+    a stopped hypothesis scores -inf on every spec and some earlier
+    hypothesis's exact score is at least its own on each, and every
+    prefix's first maximum is the exact one, so a repeated pose never
+    wins. The threads switch every microsecond, so tasks read the best
+    scores while the calling thread publishes them."""
+    monkeypatch.setattr(metrics_module, "_CLOUD_BLOCK", 16)
+    x, y, z = np.mgrid[0:6, 0:6, 0:6]
+    lattice = 2.0 * np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    index = build_index(lattice)
+    rng = np.random.default_rng(48)
+    src = lattice + rng.uniform(-0.9, 0.9, size=lattice.shape)
+
+    def nearby():
+        return RigidTransform(rotation_about_axis(rng.normal(size=3),
+                                                  rng.uniform(0.0, 0.2)),
+                              rng.normal(size=3) * 0.5)
+
+    far = RigidTransform(np.eye(3), np.array([4e5, -3e5, 2e5]))
+    transforms = ([nearby(), RigidTransform.identity()]
+                  + [nearby() for _ in range(8)] + [far]
+                  + [RigidTransform.identity()] + [nearby() for _ in range(6)])
+    repeat = 11  # repeats hypothesis 1's pose, an exact tie on every spec
+    h, n = len(transforms), src.shape[0]
+    rotations = np.array([tr.rotation for tr in transforms])
+    translations = np.array([tr.translation for tr in transforms])
+    distances = NeighborIndex.nearest_distances
+    for specs in ((spec_for(MetricKind.PC_DIST),),
+                  (spec_for(MetricKind.OVERLAP_COUNT, t_overlap=1.25),),
+                  (spec_for(MetricKind.PC_DIST),
+                   spec_for(MetricKind.OVERLAP_COUNT, t_overlap=0.5),
+                   spec_for(MetricKind.OVERLAP_COUNT, t_overlap=1.25))):
+        exact = np.array([[evaluate_hypothesis_cloud(spec, tr, src, index).value
+                           for tr in transforms] for spec in specs])
+        np.testing.assert_array_equal(exact[:, repeat], exact[:, 1])
+        for width in (1, 2, h + 3):
+            monkeypatch.setattr(metrics_module.os, "cpu_count", lambda: width)
+            queried = []
+
+            def counting(self, queries):
+                queried.append(len(queries))
+                return distances(self, queries)
+
+            monkeypatch.setattr(NeighborIndex, "nearest_distances", counting)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # interleave the threads finely
+            try:
+                got, _ = _cloud_values_batch(specs, rotations, translations,
+                                             src, index)
+            finally:
+                sys.setswitchinterval(interval)
+            monkeypatch.setattr(NeighborIndex, "nearest_distances", distances)
+            stopped = np.isneginf(got[0])
+            np.testing.assert_array_equal(np.isneginf(got),
+                                          np.broadcast_to(stopped, got.shape))
+            assert np.all(np.isfinite(got[:, ~stopped]))
+            np.testing.assert_array_equal(got[:, ~stopped].view(np.uint64),
+                                          exact[:, ~stopped].view(np.uint64))
+            assert not stopped[0]
+            for i in np.flatnonzero(stopped):
+                assert np.all(exact[:, i] <= exact[:, :i].max(axis=1)), i
+            for k in range(len(specs)):
+                for p in range(1, h + 1):
+                    assert np.argmax(got[k, :p]) == np.argmax(exact[k, :p])
+                assert np.argmax(got[k]) != repeat
+            if width <= 2:  # a wider pool may start every task at once
+                assert sum(queried) < h * n

@@ -34,6 +34,7 @@ from ransacreg import metrics as metrics_module
 from ransacreg import ransac as ransac_module
 from ransacreg.geom import _degeneracy_threshold
 from ransacreg.ransac import SAMPLE_SIZE
+from ransacreg.spatial import NeighborIndex
 
 from conftest import random_rigid
 
@@ -436,8 +437,9 @@ def test_error_kernel_failure_on_helper_thread_reaches_caller(monkeypatch):
 
 def test_cloud_task_failure_on_pool_thread_reaches_caller(monkeypatch):
     """The cloud pass moves and queries each hypothesis in a task on its
-    thread pool; an exception a task raises must reach run_ransac's caller
-    as the same object, and no pool thread may outlive either run."""
+    thread pool, block by block; an exception a task raises, in its first
+    block or a later one, must reach run_ransac's caller as the same
+    object, and no pool thread may outlive any run."""
     monkeypatch.setattr(metrics_module.os, "cpu_count", lambda: 3)
     rng = np.random.default_rng(64)
     corrs, gt = make_corrs(rng, n=50, outlier_ratio=0.3)
@@ -448,27 +450,33 @@ def test_cloud_task_failure_on_pool_thread_reaches_caller(monkeypatch):
     run_ransac(cfg, corrs, source=corrs.sources, target_index=index)
     assert threading.active_count() == baseline
 
-    distances = metrics_module._cloud_distances
+    distances = NeighborIndex.nearest_distances
     caller = threading.current_thread()
-    failure = RuntimeError("cloud task failed")
-    raised_on = []
-    lock = threading.Lock()
+    # One 50-point block per hypothesis, then blocks of 16, 16, 16 and 2
+    # points: the first call on a 2-point block is a hypothesis's fourth.
+    for block, fails in ((1024, lambda calls, q: calls == 10),
+                         (16, lambda calls, q: len(q) == 2)):
+        monkeypatch.setattr(metrics_module, "_CLOUD_BLOCK", block)
+        failure = RuntimeError("cloud task failed")
+        raised_on = []
+        lock = threading.Lock()
 
-    def failing_distances(*args):
-        with lock:
-            fail = len(raised_on) == 10
-            raised_on.append(threading.current_thread() if fail else None)
-        if fail:
-            raise failure
-        return distances(*args)
+        def failing_distances(self, queries):
+            with lock:
+                fail = not any(raised_on) and fails(len(raised_on), queries)
+                raised_on.append(threading.current_thread() if fail else None)
+            if fail:
+                raise failure
+            return distances(self, queries)
 
-    monkeypatch.setattr(metrics_module, "_cloud_distances", failing_distances)
-    with pytest.raises(RuntimeError) as excinfo:
-        run_ransac(cfg, corrs, source=corrs.sources, target_index=index)
-    assert excinfo.value is failure
-    thread = next(t for t in raised_on if t is not None)
-    assert thread is not caller
-    assert threading.active_count() == baseline
+        monkeypatch.setattr(NeighborIndex, "nearest_distances",
+                            failing_distances)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_ransac(cfg, corrs, source=corrs.sources, target_index=index)
+        assert excinfo.value is failure
+        thread = next(t for t in raised_on if t is not None)
+        assert thread is not caller
+        assert threading.active_count() == baseline
 
 
 def test_run_ransac_single_iteration():

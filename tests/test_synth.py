@@ -352,6 +352,28 @@ def test_punch_holes_sizes_and_determinism():
         punch_holes(cloud, n_holes=-1, hole_fraction=0.05, seed=0)
 
 
+@pytest.mark.parametrize("nuisance, args", [
+    (punch_holes, (3, math.nan)),
+    (punch_holes, (3, -0.1)),
+    (punch_holes, (3, 0.0)),
+    (punch_holes, (0, 1.0)),
+    (punch_holes, (2.5, 0.05)),
+    (punch_holes, ("3", 0.05)),
+    (punch_holes, (3, "0.05")),
+    (decimate_uniform, ("0.5",)),
+    (decimate_random, ("0.5",)),
+    (add_gaussian_noise, ("1.0",)),
+])
+def test_nuisance_parameters_outside_their_rules_raise_bad_config(nuisance,
+                                                                  args):
+    """n_holes is a non-negative integer, hole_fraction lies in (0, 1),
+    as EvalConfig requires, and every fraction or sigma is a real number."""
+    cloud = PointCloud(np.random.default_rng(76).normal(size=(50, 3)))
+    seed = () if nuisance is decimate_uniform else (0,)
+    with pytest.raises(BadConfig):
+        nuisance(cloud, *args, *seed)
+
+
 def test_punch_holes_removes_one_contiguous_neighborhood():
     """A single hole must equal the k-nearest-neighbor ball of some removed
     point, checked against a brute-force distance sort."""
