@@ -27,7 +27,7 @@ from .errors import (BadConfig, EmptyCloud, InvalidInput, InvalidSpec,
                      MissingClouds, _check_reals)
 from .geom import RigidTransform
 from .spatial import (NeighborIndex, _as_indices, _as_points, _frozen_points,
-                      _leaf_order)
+                      _leaf_order, _scan_distances)
 
 __all__ = [
     "Correspondence",
@@ -545,14 +545,66 @@ def _cloud_score(spec: MetricSpec, dists: np.ndarray) -> np.ndarray:
     return np.count_nonzero(dists < spec.t_overlap, axis=1)
 
 
-# Source points per k-d tree query in the cloud pass. Between two blocks a
+# The sphere bound's absolute rounding margin. A norm of a difference of
+# two points, fl(sqrt(fl(a^2) + fl(b^2) + fl(c^2))) with each component
+# fl(x_k - y_k) summed in any order, as numpy and the k-d tree take it, is
+# within a factor (1 +- u)^3.5 < 1 +- 4u of the exact norm, u = eps / 2,
+# where no square underflows. Squares that do lose at most 2^-1075 each,
+# and the sqrt turns the few lost into at most sqrt(4 * 2^-1075) < 1e-161
+# of the norm; this margin covers that. Coordinates reach `_MOVED_LIMIT`
+# = 6e75, so every square stays below 1e152 and none overflows.
+_SPHERE_FLOOR = 1e-150
+
+
+def _bounding_sphere(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """(centre, reach): the centre of the bounding box of `points` and a
+    radius of at least r + 3 `_SPHERE_FLOOR`, r the exact largest distance
+    from the centre to a point.
+
+    Each point's computed distance is at least its exact one times
+    (1 - 4u), less the floor f, so r <= (max + f) / (1 - 4u), and
+    fl(fl(max + 4f) (1 + 16 eps)) >= (max + f) (1 + 29u) + 3f >= r + 3f.
+    """
+    centre = (points.min(axis=0) + points.max(axis=0)) / 2.0
+    reach = ((_scan_distances(points, centre).max() + 4.0 * _SPHERE_FLOOR)
+             * (1.0 + 16.0 * np.finfo(np.float64).eps))
+    return centre, reach
+
+
+def _sphere_gaps(moved: np.ndarray, centre: np.ndarray, reach: float
+                 ) -> np.ndarray:
+    """Per-point lower bounds on the k-d tree's distances from `moved` to
+    the points that `_bounding_sphere` gave (`centre`, `reach`), computed
+    in (n,) buffers only.
+
+    Every indexed point lies within the exact radius r of the centre c, so
+    x lies at least |x - c| - r from each, and the tree's distance d is at
+    least that times (1 - 4u), less the floor f. The computed |x - c| is at
+    most |x - c| (1 + 4u) + f, and fl(it (1 - 8 eps)) at most
+    |x - c| (1 - 11u) + f. With reach >= r + 3f, the rounded difference,
+    where positive, is at most (|x - c| - r) (1 + u) - 11u |x - c| - 2f,
+    which is at most (|x - c| - r) (1 - 4u) - f <= d.
+    """
+    gap = np.zeros(moved.shape[0])
+    term = np.empty(moved.shape[0])
+    for k in range(3):
+        np.subtract(moved[:, k], centre[k], out=term)
+        gap += np.square(term, out=term)
+    np.sqrt(gap, out=gap)
+    gap *= 1.0 - 8.0 * np.finfo(np.float64).eps
+    gap -= reach
+    return np.maximum(gap, 0.0, out=gap)
+
+
+# Source points per k-d tree query in the cloud pass. Before each block a
 # hypothesis stops once an earlier one provably scores at least as high, so
 # smaller blocks query fewer points but pay each query's fixed cost more
-# often. A `cloud-holes` benchmark op (seed 41, 2-core AMD EPYC) queried
-# 0.88 M of 2 M source points at 256, 0.91 M at 512, 0.94 M at 1024 and
-# 1.04 M at 2048; 12 s runs read 13.9-15.2 registrations/s at 256,
-# 14.4-14.9 at 512, 14.2-14.6 at 1024 (one run 12.4) and 13.4-13.9 at 2048.
-# 256 to 1024 lie within each other's spread; 1024 makes the fewest calls.
+# often. With the bounding-sphere bound, a `cloud-holes` benchmark op
+# (seed 3, mean of 8 ops, 2-core Intel Xeon) queried 415 k of 2 M source
+# points at 256, 422 k at 512, 437 k at 1024 and 470 k at 2048; two 12 s
+# runs each (seed 41) read 13.5 / 11.0 registrations/s at 256, 13.2 / 12.0
+# at 512, 13.7 / 11.3 at 1024 and 12.5 / 10.0 at 2048. 256 to 1024 lie
+# within each other's spread; 1024 makes the fewest calls.
 _CLOUD_BLOCK = 1024
 
 
@@ -574,16 +626,19 @@ def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     keeps its bits.
 
     After reducing hypothesis i the calling thread publishes each spec's
-    best score over hypotheses 0..i. Before each later block a task bounds
-    its hypothesis's scores from the points queried so far: pc-dist's mean
-    is at least the running distance sum over n, less a rounding margin,
-    and overlap-count's count is at most the running hit count plus the
-    points not yet queried. When no spec's bound exceeds its published
-    best, an earlier hypothesis scores at least as high on every spec and
-    wins every prefix of the stream that holds both (ties go to the
-    earlier), so the task stops and the hypothesis scores -inf. Every
-    other score is exact: values[k, i] is exact wherever i can be a
-    prefix's first maximum.
+    best score over hypotheses 0..i. Each task also bounds every moved
+    point's distance from below by its gap to the target's bounding
+    sphere (:func:`_sphere_gaps`, O(n) numpy, no query). Before every
+    block, the first one included, it bounds its hypothesis's scores:
+    pc-dist's mean is at least the running distance sum plus the gaps of
+    the points not yet queried, over n, less a rounding margin, and
+    overlap-count's count is at most the running hit count plus the
+    unqueried points whose gap is below t_overlap. When no spec's bound
+    exceeds its published best, an earlier hypothesis scores at least as
+    high on every spec and wins every prefix of the stream that holds both
+    (ties go to the earlier), so the task stops, possibly before its first
+    query, and the hypothesis scores -inf. Every other score is exact:
+    values[k, i] is exact wherever i can be a prefix's first maximum.
 
     Eval time is :func:`_score_pass`'s. Here the shared pass is the
     calling thread's wait on the pool.
@@ -595,26 +650,37 @@ def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     best = dict.fromkeys(specs, -np.inf)
     # For n non-negative terms summed in any order, each rounded sum is
     # within a factor (1 +- u)^n of the exact one, u = eps / 2: the running
-    # sum s and numpy's sum of the full row both are. So that row sums to at
-    # least s (1 - n eps), which fl(s * slack) does not exceed, and the
-    # mean, fl(sum / n), is at least fl(fl(s * slack) / n).
+    # sum s of the queried distances, the sum g of the unqueried points'
+    # gaps (each at most its distance) and numpy's sum of the full row all
+    # are, and fl(s + g) rounds once more. So that row sums to at least
+    # fl(s + g) (1 - (n + 1) eps), which fl(fl(s + g) * slack) does not
+    # exceed, and the mean, fl(sum / n), is at least that over n, rounded.
     slack = 1.0 - 4.0 * (n + 2) * np.finfo(np.float64).eps
+    centre, reach = _bounding_sphere(target_index.points)
+    starts = np.arange(0, n, _CLOUD_BLOCK)
 
-    def bound(spec, acc, left):
+    def later(values):
+        """The sums of `values` over the blocks from each block on."""
+        return np.cumsum(np.add.reduceat(values, starts)[::-1])[::-1]
+
+    def bound(spec, acc, rest):
         """An upper bound on `spec`'s score of a hypothesis whose queried
-        points have distance sum or hit count `acc`, `left` points not yet
-        queried."""
+        points have distance sum or hit count `acc` and whose unqueried
+        ones have gap sum or gaps below t_overlap `rest`."""
         if spec.kind is MetricKind.PC_DIST:
-            return -(acc * slack / n)
-        return acc + left
+            return -((acc + rest) * slack / n)
+        return acc + rest
 
     def task(i):
         moved = _moved(rotations[i], translations[i], coherent)
+        gap = _sphere_gaps(moved, centre, reach)
+        rests = [later(gap if spec.kind is MetricKind.PC_DIST
+                       else gap < spec.t_overlap) for spec in specs]
         dists = np.empty(n)
         acc = [0] * len(specs)
-        for lo in range(0, n, _CLOUD_BLOCK):
-            if lo and all(bound(spec, a, n - lo) <= best[spec]
-                          for spec, a in zip(specs, acc)):
+        for j, lo in enumerate(starts):
+            if all(bound(spec, a, rest[j]) <= best[spec]
+                   for spec, a, rest in zip(specs, acc, rests)):
                 return None
             block = dists[lo:lo + _CLOUD_BLOCK]
             block[:] = target_index.nearest_distances(

@@ -235,9 +235,11 @@ def _score_hypotheses(rotations: np.ndarray, translations: np.ndarray, specs,
     Returns (values, seconds): values[k, i] is specs[k]'s score of
     hypothesis i, exact wherever i can be a prefix's first maximum, -inf
     where an earlier hypothesis provably scores at least as high on every
-    cloud spec of the pass; seconds[k] is the time the calling thread
-    spent in the shared pass plus spec k's own reductions. Correspondence
-    specs share one error pass
+    cloud spec of the pass (proved before each block of k-d tree queries,
+    the first one included, from the distances queried so far and the
+    other points' gaps to the target's bounding sphere); seconds[k] is
+    the time the calling thread spent in the shared pass plus spec k's
+    own reductions. Correspondence specs share one error pass
     (:func:`~ransacreg.metrics._corr_values_batch`), cloud specs one
     nearest-neighbour pass
     (:func:`~ransacreg.metrics._cloud_values_batch`), which needs `source`

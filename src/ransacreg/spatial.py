@@ -11,7 +11,9 @@ bits). The cloud metrics' scoring pass
 (:func:`~ransacreg.metrics._cloud_values_batch`) runs it on a pool, one
 hypothesis per task, on consecutive blocks of the source points in
 `_leaf_order`, until an earlier hypothesis provably scores at least as
-high.
+high. Before every block, the first one included, that proof may use the
+unqueried points' gaps to the target's bounding sphere, which never
+exceed this method's distances, so a hypothesis can stop unqueried.
 :meth:`NeighborIndex.nearest_other_distances` splits its rows across
 every CPU core and re-measures in numpy. The tree resolves each query
 point on its own, so no distance depends on the thread count.

@@ -8,6 +8,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ransacreg import (
     CLOUD_KINDS,
@@ -34,7 +37,7 @@ from ransacreg import (
 )
 from ransacreg import metrics as metrics_module
 from ransacreg.metrics import _cloud_values_batch, _corr_values_batch
-from ransacreg.spatial import NeighborIndex
+from ransacreg.spatial import _MOVED_LIMIT, NeighborIndex
 
 from conftest import random_rigid, random_rotation
 
@@ -712,7 +715,11 @@ def test_zero_outlier_scoring_matches_masked_scatter_reference_bitwise(
 def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
     """The pooled cloud pass, at pool widths of 1, 2 and more threads than
     hypotheses, against a frozen copy of the old path: one serial k-d tree
-    query per hypothesis in the callers' point order, reduced per row."""
+    query per hypothesis in the callers' point order, reduced per row.
+    Every finite score has the reference's bits, and the far hypothesis,
+    which the target's bounding sphere lets the pass stop before its one
+    block, may score -inf instead, as long as an earlier exact score beats
+    it on every spec and every prefix's first maximum stays exact."""
     x, y, z = np.mgrid[0:6, 0:6, 0:6]
     lattice = 2.0 * np.column_stack([x.ravel(), y.ravel(), z.ravel()])
     tgt = np.vstack([lattice, lattice[:20]])  # duplicated target points
@@ -723,6 +730,7 @@ def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
     far = RigidTransform(random_rotation(rng), np.array([4e5, -3e5, 2e5]))
     transforms = [RigidTransform.identity(), far] + [
         random_rigid(rng, t_scale=0.5) for _ in range(12)]
+    h = len(transforms)
     rotations = np.array([tr.rotation for tr in transforms])
     translations = np.array([tr.translation for tr in transforms])
     specs = (spec_for(MetricKind.PC_DIST),
@@ -740,8 +748,11 @@ def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
     d0, _ = index._tree.query(src[0])
     assert d0 == 0.5
     assert want[0, 1] < -1e5 and want[1, 1] == want[2, 1] == 0.0
+    one = np.array([[evaluate_hypothesis_cloud(spec, tr, src, index).value
+                     for tr in transforms] for spec in specs])
+    np.testing.assert_array_equal(one.view(np.uint64), want.view(np.uint64))
     distances = NeighborIndex.nearest_distances
-    for width in (1, 2, len(transforms) + 3):
+    for width in (1, 2, h + 3):
         monkeypatch.setattr(metrics_module.os, "cpu_count", lambda: width)
         calls = []
 
@@ -749,20 +760,24 @@ def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
             calls.append(threading.current_thread())
             return distances(self, queries)
 
-        # The pass reaches the tree only through nearest_distances: one
-        # call per hypothesis, each on a pool thread.
+        # The pass reaches the tree only through nearest_distances: at most
+        # one call per hypothesis, each on a pool thread.
         monkeypatch.setattr(NeighborIndex, "nearest_distances", recording)
         got, _ = _cloud_values_batch(specs, rotations, translations, src, index)
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert len(calls) == len(transforms)
+        stopped = np.isneginf(got[0])
+        np.testing.assert_array_equal(np.isneginf(got),
+                                      np.broadcast_to(stopped, got.shape))
+        np.testing.assert_array_equal(got[:, ~stopped].view(np.uint64),
+                                      want[:, ~stopped].view(np.uint64))
+        for i in np.flatnonzero(stopped):
+            assert np.all(want[:, i] <= want[:, :i].max(axis=1)), i
+        for k in range(len(specs)):
+            for p in range(1, h + 1):
+                assert np.argmax(got[k, :p]) == np.argmax(want[k, :p])
+        assert len(calls) <= h
         assert 1 <= len(set(calls)) <= width
         assert threading.current_thread() not in calls
     monkeypatch.undo()
-    for k, spec in enumerate(specs):
-        for i, tr in enumerate(transforms):
-            one = evaluate_hypothesis_cloud(spec, tr, src, index).value
-            assert np.float64(one).view(np.uint64) == got[k, i:i + 1].view(
-                np.uint64)[0]
 
 
 def test_cloud_batch_stops_hypotheses_an_earlier_one_beats(monkeypatch):
@@ -836,3 +851,97 @@ def test_cloud_batch_stops_hypotheses_an_earlier_one_beats(monkeypatch):
                 assert np.argmax(got[k]) != repeat
             if width <= 2:  # a wider pool may start every task at once
                 assert sum(queried) < h * n
+
+
+def _sphere_targets():
+    """Targets on a lattice of spacing 2^e: n copies of one point (radius
+    0), one point, and the corners of a cube or the tips of an octahedron
+    about a lattice centre, which lie exactly on the bounding sphere."""
+    def build(shape, e, centre, a, copies):
+        unit = 2.0 ** e
+        c = centre.astype(np.float64) * unit
+        if shape == "coincident":
+            return np.repeat(c[np.newaxis], copies, axis=0)
+        if shape == "one":
+            return c[np.newaxis]
+        if shape == "corners":
+            signs = np.array([[i, j, k] for i in (-1, 1) for j in (-1, 1)
+                              for k in (-1, 1)], dtype=np.float64)
+        else:
+            signs = np.vstack([np.eye(3), -np.eye(3)])
+        return c + signs * (a * unit)
+
+    return st.builds(
+        build, st.sampled_from(("coincident", "one", "corners", "axes")),
+        st.integers(-1074, 245),
+        hnp.arrays(np.int64, 3, elements=st.integers(-8, 8)),
+        st.integers(1, 8), st.integers(2, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=_sphere_targets(),
+       spread=st.sampled_from((1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -50,
+                               1.0 + 1e-12, 1.5, 3.0, 1e30)),
+       free=hnp.arrays(np.float64, (4, 3), elements=st.one_of(
+           st.floats(-_MOVED_LIMIT, _MOVED_LIMIT),
+           st.sampled_from((-_MOVED_LIMIT, _MOVED_LIMIT, 0.0, 5e-324)))))
+def test_sphere_gaps_never_exceed_the_tree_distances(target, spread, free):
+    """The cloud pass's per-point bound, the gap to the target's bounding
+    sphere, is at most `NeighborIndex.nearest_distances`, element for
+    element: at the target points themselves and pushed radially outward
+    by a few ulps or much more, at the corners of the moved-point domain
+    and at arbitrary moved points."""
+    centre, reach = metrics_module._bounding_sphere(target)
+    radial = np.clip(centre + (target - centre) * spread,
+                     -_MOVED_LIMIT, _MOVED_LIMIT)
+    corners = _MOVED_LIMIT * np.array(
+        [[i, j, k] for i in (-1, 1) for j in (-1, 1) for k in (-1, 1)],
+        dtype=np.float64)
+    moved = np.vstack([target, radial, corners, free])
+    gaps = metrics_module._sphere_gaps(moved, centre, reach)
+    d = build_index(target).nearest_distances(moved)
+    assert np.all(gaps >= 0.0)
+    assert np.all(gaps <= d), (gaps - d).max()
+    assert np.all(gaps[-len(corners) - len(free):-len(free)] > 0.0)
+
+
+def test_cloud_batch_stops_a_hypothesis_beyond_the_sphere_unqueried(
+        monkeypatch):
+    """With a pool of one thread, a hypothesis that moves every source point
+    beyond the target's bounding sphere, submitted after an earlier exact
+    hypothesis has published its scores, is stopped before its first k-d
+    tree query and scores -inf on every spec; the others keep their
+    evaluate_hypothesis_cloud bits, one call each."""
+    x, y, z = np.mgrid[0:6, 0:6, 0:6]
+    lattice = 2.0 * np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    index = build_index(lattice)
+    rng = np.random.default_rng(49)
+    src = lattice + rng.uniform(-0.9, 0.9, size=lattice.shape)
+    # Hypothesis 3 is submitted only once hypothesis 0's scores are out:
+    # the calling thread keeps at most two tasks ahead of the one it reads.
+    # Repeats of the first pose tie with it, so each of them is queried.
+    transforms = [RigidTransform.identity()] * 3 + [
+        RigidTransform(np.eye(3), np.array([40.0, 0.0, 0.0]))]
+    rotations = np.array([tr.rotation for tr in transforms])
+    translations = np.array([tr.translation for tr in transforms])
+    specs = (spec_for(MetricKind.PC_DIST),
+             spec_for(MetricKind.OVERLAP_COUNT, t_overlap=1.25))
+    monkeypatch.setattr(metrics_module.os, "cpu_count", lambda: 1)
+    distances = NeighborIndex.nearest_distances
+    queried = []
+
+    def recording(self, queries):
+        queried.append(np.array(queries))
+        return distances(self, queries)
+
+    monkeypatch.setattr(NeighborIndex, "nearest_distances", recording)
+    got, _ = _cloud_values_batch(specs, rotations, translations, src, index)
+    monkeypatch.undo()
+    assert len(queried) == 3
+    assert all(q[:, 0].max() < 20.0 for q in queried)  # none moved by 40
+    assert np.all(np.isneginf(got[:, 3]))
+    for k, spec in enumerate(specs):
+        exact = [evaluate_hypothesis_cloud(spec, tr, src, index).value
+                 for tr in transforms[:3]]
+        np.testing.assert_array_equal(got[k, :3].view(np.uint64),
+                                      np.array(exact).view(np.uint64))
