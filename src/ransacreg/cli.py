@@ -301,6 +301,10 @@ def main(argv=None) -> int:
     except (RansacRegError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a budget that fits int64 but not in memory
+        print(f"error: out of memory: {exc}" if str(exc)
+              else "error: out of memory", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

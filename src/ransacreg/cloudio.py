@@ -13,10 +13,10 @@ and converts each token with the routine `float()` calls, so a token it
 reads has `float()`'s bits; it refuses more (underscores, non-ASCII
 digits). A file it refuses, or whose rows have the wrong width or an
 out-of-domain value, goes to the per-token walk (`_to_floats`), which
-accepts every token `float()` accepts and raises the first error in file
-order, with its line. An XYZ or correspondence file that the reader finds
-no row in holds only blank and comment lines, and raises its no-data
-error without the walk. Transform files take the walk.
+takes every token `float()` takes, converts each once in file order and
+raises the first error it meets, with its line. An XYZ or correspondence
+file that the reader finds no row in holds only blank and comment lines,
+and raises its no-data error without the walk. Transforms take the walk.
 """
 
 from __future__ import annotations
@@ -122,28 +122,15 @@ def _token_rows(lines: list[str], path: str, width: int | None = None,
 
 
 def _to_floats(rows, path: str, limit: float = COORD_LIMIT) -> np.ndarray:
-    """Every token of `rows()`, an iterator of (line number, tokens), as
-    one flat float64 array of values within +-`limit`: the per-token walk
-    that takes every token `float()` takes.
+    """Every token of `rows`, an iterator of (line number, tokens), as one
+    flat float64 array of values within +-`limit`: the per-token walk,
+    which takes every token `float()` takes.
 
-    Each token goes through Python's `float()` once and the array gets one
-    domain check. If anything is malformed, the rows are walked again in
-    file order, token by token, to raise the first error with its line.
+    Each token goes through `_parse_float` once, in file order, so the
+    first error the walk meets, with its line, is the one it raises.
     """
-    tokens = []
-    try:
-        for _, row in rows():
-            tokens += row
-        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
-    except (ParseError, ValueError):
-        pass
-    else:
-        if _in_coord_domain(values, limit):
-            return values
-    for lineno, row in rows():
-        for token in row:
-            _parse_float(token, path, lineno, limit)
-    raise AssertionError(f"{path}: malformed, but no token fails to parse")
+    return np.array([_parse_float(token, path, lineno, limit)
+                     for lineno, row in rows for token in row], np.float64)
 
 
 def _read_rows(lines: list[str], width: int, comments: str | None = "#",
@@ -177,8 +164,7 @@ def _parse_xyz(lines: list[str], path: str) -> np.ndarray:
     points = _read_rows(lines, 3)
     if points is not None:
         return points
-    return _to_floats(
-        lambda: _token_rows(lines, path, 3, "coordinates"), path)
+    return _to_floats(_token_rows(lines, path, 3, "coordinates"), path)
 
 
 def _ply_header(lines: list[str], path: str):
@@ -272,8 +258,7 @@ def _parse_ply(lines: list[str], path: str) -> np.ndarray:
         if points is not None:
             return points
     return _to_floats(
-        lambda: _ply_vertex_rows(lines, elements, body_start, columns, path),
-        path)
+        _ply_vertex_rows(lines, elements, body_start, columns, path), path)
 
 
 def _non_blank(lines: list[str]) -> int:
@@ -335,7 +320,7 @@ def parse_correspondence_file(path) -> CorrespondenceSet:
     lines = _read_lines(path)
     data = _read_rows(lines, 6)
     if data is None:
-        data = _to_floats(lambda: _token_rows(lines, path, 6), path)
+        data = _to_floats(_token_rows(lines, path, 6), path)
     if not len(data):
         raise ParseError("no correspondences found", path)
     data = data.reshape(-1, 6)
@@ -347,11 +332,10 @@ def parse_transform_file(path) -> RigidTransform:
     each within +-4 `COORD_LIMIT`; `RigidTransform` checks the rest."""
     path = str(path)
     lines = _read_lines(path)
-    values = _to_floats(lambda: _token_rows(lines, path), path,
-                        4 * COORD_LIMIT)
+    values = _to_floats(_token_rows(lines, path), path, 4 * COORD_LIMIT)
     if len(values) == 16:
         matrix = values.reshape(4, 4)
-        if not np.allclose(matrix[3], [0.0, 0.0, 0.0, 1.0], atol=1e-9):
+        if not np.allclose(matrix[3], (0, 0, 0, 1), rtol=0, atol=1e-9):
             raise ParseError("last row of a 4x4 transform must be 0 0 0 1", path)
         matrix = matrix[:3]
     elif len(values) == 12:

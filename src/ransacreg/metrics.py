@@ -146,6 +146,14 @@ class CorrespondenceSet:
         return CorrespondenceSet(self.sources[idx], self.targets[idx])
 
 
+def _require_correspondences(corrs, user: str) -> None:
+    """Raise InvalidInput unless `corrs` is a CorrespondenceSet; `user`
+    names what needs it."""
+    if not isinstance(corrs, CorrespondenceSet):
+        raise InvalidInput(f"{user} needs a CorrespondenceSet, "
+                           f"got {type(corrs).__name__}")
+
+
 @dataclass(frozen=True)
 class MetricSpec:
     """Which scoring function to use plus its parameters.
@@ -721,9 +729,7 @@ def evaluate_hypothesis(spec: MetricSpec, transform: RigidTransform,
     The RANSAC loop scores through :func:`_corr_values_batch`, which gives
     the same bits. InvalidInput unless `corrs` is a CorrespondenceSet.
     """
-    if not isinstance(corrs, CorrespondenceSet):
-        raise InvalidInput(f"{spec.kind} needs a CorrespondenceSet, "
-                           f"got {type(corrs).__name__}")
+    _require_correspondences(corrs, spec.kind)
     errors = _pair_errors(transform.rotation, transform.translation,
                           corrs.sources, corrs.targets)
     return HypothesisScore(np.sum(score_errors(spec, errors)), spec.kind)

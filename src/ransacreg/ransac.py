@@ -35,7 +35,7 @@ from .geom import (RigidTransform, _degeneracy_threshold, _estimate_rigid_batch,
                    _triangle_areas, triangle_area)
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, HypothesisScore,
                       MetricSpec, _cloud_points, _cloud_values_batch,
-                      _corr_values_batch)
+                      _corr_values_batch, _require_correspondences)
 from .spatial import NeighborIndex
 
 __all__ = [
@@ -115,9 +115,11 @@ def sample_minimal(corrs: CorrespondenceSet, rng: np.random.Generator, *,
     i-th call on `np.random.default_rng(seed)` returns. The engine decodes
     the same draws in bulk (`_sample_triples`).
 
-    Raises :class:`TooFewCorrespondences` below 3 items and
+    Raises :class:`InvalidInput` unless `corrs` is a CorrespondenceSet,
+    :class:`TooFewCorrespondences` below 3 items and
     :class:`PersistentDegeneracy` when every attempt was degenerate.
     """
+    _require_correspondences(corrs, "sample_minimal")
     n = corrs.n
     if n < SAMPLE_SIZE:
         raise TooFewCorrespondences(f"need >= {SAMPLE_SIZE} correspondences, got {n}")
@@ -271,9 +273,11 @@ def run_ransac(config: RansacConfig, corrs: CorrespondenceSet,
 
     `source` and `target_index` are required exactly when the configured
     metric compares whole clouds (pc-dist, overlap-count); correspondence
-    metrics ignore them. Deterministic given (config, inputs).
+    metrics ignore them. Deterministic given (config, inputs). InvalidInput
+    unless `corrs` is a CorrespondenceSet.
     """
     t_start = time.perf_counter()
+    _require_correspondences(corrs, "run_ransac")
     rotations, translations = _sample_hypotheses(
         corrs, config.seed, config.iterations, config.degeneracy_retries)
     values, seconds = _score_hypotheses(rotations, translations,

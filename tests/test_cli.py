@@ -366,6 +366,29 @@ def test_budget_beyond_int64_is_a_config_error(scene_files, tmp_path):
     assert not out.exists()
 
 
+def test_budget_that_cannot_be_allocated_is_a_data_error(capsys, scene_files,
+                                                         tmp_path, monkeypatch):
+    """A MemoryError (a budget that fits int64 but not in memory raises
+    one) exits 2 with one error line. The engine is stubbed to raise it;
+    no test attempts the allocation."""
+    def no_memory(message):
+        def run(*args, **kwargs):
+            raise MemoryError(message)
+        return run
+    monkeypatch.setattr("ransacreg.cli.run_ransac",
+                        no_memory("Unable to allocate 193. TiB"))
+    monkeypatch.setattr("ransacreg.cli.run_experiment", no_memory(""))
+    code, out, err = run_cli(capsys, "register", scene_files["src"],
+                             scene_files["tgt"], "--iterations", str(10**13))
+    assert (code, out, err) == (
+        2, "", "error: out of memory: Unable to allocate 193. TiB\n")
+    csv = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, "bench", "--metrics", "mae", "--sweep",
+                             "t", "--values", "5", "--out", str(csv))
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+    assert not csv.exists()
+
+
 def test_info_single_point_has_no_resolution(capsys, tmp_path):
     path = tmp_path / "one.xyz"
     path.write_text("1 2 3\n")

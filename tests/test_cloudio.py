@@ -21,6 +21,7 @@ from ransacreg import (
     rotation_about_axis,
     write_cloud_file,
 )
+from ransacreg import cloudio
 from ransacreg.cloudio import (
     FORMATS,
     _read_lines,
@@ -297,6 +298,10 @@ def test_transform_parse_errors(tmp_path):
     path.write_text("1 0 0 0\n0 1 0 nope\n0 0 1 0\n")
     with pytest.raises(ParseError, match="not a number"):
         parse_transform_file(path)
+    # w = 1.00001 is a scale, not 1 within a relative tolerance
+    path.write_text("1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1.00001\n")
+    with pytest.raises(ParseError, match="last row"):
+        parse_transform_file(path)
 
 
 def test_transform_file_takes_the_translation_bound(tmp_path):
@@ -316,6 +321,34 @@ def test_transform_file_takes_the_translation_bound(tmp_path):
     path.write_text("1 0 0 0\n0 1 2e75 0\n0 0 1 0\n")
     with pytest.raises(ParseError, match="invalid rigid transform"):
         parse_transform_file(path)
+
+
+def test_transform_takes_float_only_tokens_each_once(tmp_path, monkeypatch):
+    """Translation tokens that only `float()` reads parse to its bits, and
+    the walk converts every token once, in file order."""
+    parse_one, seen = cloudio._parse_float, []
+
+    def parse_float(token, *args):
+        seen.append(token)
+        return parse_one(token, *args)
+    monkeypatch.setattr(cloudio, "_parse_float", parse_float)
+    text = "1 0 0 +.5\n0 1 0 1_0  # comment\n\n0 0 1 \u0663\n"
+    path = tmp_path / "pose.txt"
+    path.write_text(text, encoding="utf-8")
+    back = parse_transform_file(path)
+    _same_bits(back.translation, [float("+.5"), float("1_0"), float("\u0663")])
+    _same_bits(back.rotation, np.eye(3))
+    assert seen == [t for line in text.splitlines()
+                    for t in line.split("#")[0].split()]
+
+
+def test_transform_raises_its_first_error_in_file_order(tmp_path):
+    path = tmp_path / "pose.txt"
+    path.write_text("1 0 0 inf\n0 1 0 apple\n0 0 1 0\n")
+    with pytest.raises(ParseError,
+                       match="non-finite coordinate: 'inf'") as excinfo:
+        parse_transform_file(path)
+    assert excinfo.value.line == 1
 
 
 # ------------------------------------- one-pass conversion vs per-token parse

@@ -18,6 +18,7 @@ from ransacreg import (
     PersistentDegeneracy,
     PointCloud,
     RansacConfig,
+    RigidTransform,
     TooFewCorrespondences,
     CorrespondenceConfig,
     SceneConfig,
@@ -111,6 +112,26 @@ def test_sample_minimal_rejects_all_collinear():
     corrs = CorrespondenceSet(line, line)
     with pytest.raises(PersistentDegeneracy):
         sample_minimal(corrs, np.random.default_rng(0), degeneracy_retries=50)
+
+
+@pytest.mark.parametrize("user", ["run_ransac", "sample_minimal", "mae"])
+def test_non_correspondence_set_is_invalid_input(user):
+    """A (sources, targets) tuple raises InvalidInput naming what needs the
+    CorrespondenceSet, not an AttributeError."""
+    points = np.random.default_rng(0).normal(size=(10, 3))
+    pair = (points, points)
+    call = {
+        "run_ransac": lambda: run_ransac(
+            RansacConfig(metric=MAE, seed=0, iterations=5), pair),
+        "sample_minimal": lambda: sample_minimal(
+            pair, np.random.default_rng(0)),
+        "mae": lambda: evaluate_hypothesis(
+            MAE, RigidTransform(np.eye(3), np.zeros(3)), pair),
+    }[user]
+    with pytest.raises(InvalidInput) as excinfo:
+        call()
+    assert str(excinfo.value) == (
+        f"{user} needs a CorrespondenceSet, got tuple")
 
 
 def test_sample_minimal_skips_degenerate_triples():
