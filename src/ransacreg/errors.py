@@ -82,6 +82,14 @@ def _check_integers(config, **minimums: int) -> None:
             raise BadConfig(f"{name} must be {rule} and integral, got {value!r}")
 
 
+def _require_type(value, cls: type, user: str, error: type = InvalidInput
+                  ) -> None:
+    """Raise `error` unless `value` is a `cls`; `user` names what needs it."""
+    if not isinstance(value, cls):
+        raise error(f"{user} needs a {cls.__name__}, "
+                    f"got {type(value).__name__}")
+
+
 def _check_reals(**values) -> None:
     """BadConfig unless each named value is a real number (a bool is not)."""
     for name, value in values.items():

@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (BadConfig, EmptyGroundTruth, InvalidInput, InvalidSpec,
-                     _check_integers, _check_reals)
+                     _check_integers, _check_reals, _require_type)
 from .geom import PointCloud, RigidTransform
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, MetricKind, MetricSpec,
                       _as_kind, _pair_errors, evaluate_hypothesis,
@@ -71,9 +71,10 @@ def rmse(est: RigidTransform, gt_pairs) -> float:
     the value is sum_j ||R p_s_j + t - p_t_j|| / N. Despite the
     conventional name, no squaring is applied beyond the per-pair norm.
     Raises :class:`EmptyGroundTruth` for no pairs and :class:`InvalidInput`
-    for ragged or non-numeric pairs, any other shape or a coordinate
-    outside +-COORD_LIMIT.
+    for an `est` that is not a RigidTransform, ragged or non-numeric pairs,
+    any other shape or a coordinate outside +-COORD_LIMIT.
     """
+    _require_type(est, RigidTransform, "rmse")
     pairs = _as_array(gt_pairs, "gt_pairs")
     if pairs.size == 0:
         raise EmptyGroundTruth("need at least one ground-truth pair")

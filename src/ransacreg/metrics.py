@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (BadConfig, EmptyCloud, InvalidInput, InvalidSpec,
-                     MissingClouds, _check_reals)
+                     MissingClouds, _check_reals, _require_type)
 from .geom import RigidTransform
 from .spatial import (NeighborIndex, _as_indices, _as_points, _frozen_points,
                       _leaf_order, _scan_distances)
@@ -144,14 +144,6 @@ class CorrespondenceSet:
     def take(self, indices) -> "CorrespondenceSet":
         idx = _as_indices(indices)
         return CorrespondenceSet(self.sources[idx], self.targets[idx])
-
-
-def _require_correspondences(corrs, user: str) -> None:
-    """Raise InvalidInput unless `corrs` is a CorrespondenceSet; `user`
-    names what needs it."""
-    if not isinstance(corrs, CorrespondenceSet):
-        raise InvalidInput(f"{user} needs a CorrespondenceSet, "
-                           f"got {type(corrs).__name__}")
 
 
 @dataclass(frozen=True)
@@ -527,9 +519,11 @@ def _cloud_points(kind: MetricKind, source,
                   target_index: NeighborIndex | None) -> np.ndarray:
     """The checked (N, 3) points of cloud metric `kind`'s source:
     MissingClouds if `source` or `target_index` is None, EmptyCloud if
-    N = 0, InvalidInput if malformed."""
+    N = 0, InvalidInput if malformed or `target_index` is not a
+    NeighborIndex."""
     if source is None or target_index is None:
         raise MissingClouds(f"{kind} needs source cloud and target index")
+    _require_type(target_index, NeighborIndex, kind)
     pts = _as_points(source, "source")
     if pts.shape[0] == 0:
         raise EmptyCloud("source cloud is empty")
@@ -546,11 +540,11 @@ def _moved(rotation: np.ndarray, translation: np.ndarray,
     return moved
 
 
-def _cloud_score(spec: MetricSpec, dists: np.ndarray) -> np.ndarray:
-    """Per-row scores of an (h, n) distance block."""
+def _cloud_score(spec: MetricSpec, dists: np.ndarray) -> float:
+    """The score of one hypothesis's (n,) nearest-neighbour distances."""
     if spec.kind is MetricKind.PC_DIST:
-        return -np.mean(dists, axis=1)
-    return np.count_nonzero(dists < spec.t_overlap, axis=1)
+        return -np.mean(dists)
+    return np.count_nonzero(dists < spec.t_overlap)
 
 
 # The sphere bound's absolute rounding margin. A norm of a difference of
@@ -703,8 +697,8 @@ def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     def reduce(spec, row):
         if row is None:  # stopped: an earlier hypothesis wins
             return -np.inf
-        score = _cloud_score(spec, row[np.newaxis])
-        best[spec] = max(best[spec], score[0])
+        score = _cloud_score(spec, row)
+        best[spec] = max(best[spec], score)
         return score
 
     # Leaving the `with` block waits for every submitted task and joins the
@@ -727,9 +721,11 @@ def evaluate_hypothesis(spec: MetricSpec, transform: RigidTransform,
     """Total score S(T) = sum of per-correspondence scores; empty set -> 0.
 
     The RANSAC loop scores through :func:`_corr_values_batch`, which gives
-    the same bits. InvalidInput unless `corrs` is a CorrespondenceSet.
+    the same bits. InvalidInput unless `transform` is a RigidTransform and
+    `corrs` a CorrespondenceSet.
     """
-    _require_correspondences(corrs, spec.kind)
+    _require_type(transform, RigidTransform, spec.kind)
+    _require_type(corrs, CorrespondenceSet, spec.kind)
     errors = _pair_errors(transform.rotation, transform.translation,
                           corrs.sources, corrs.targets)
     return HypothesisScore(np.sum(score_errors(spec, errors)), spec.kind)
@@ -743,10 +739,13 @@ def evaluate_hypothesis_cloud(spec: MetricSpec, transform: RigidTransform,
     pc-dist: negated mean distance from each transformed source point to
     its nearest target point (0 is perfect). overlap-count: number of
     transformed source points strictly within t_overlap of the target.
-    MissingClouds when `source` or `target_index` is None.
+    MissingClouds when `source` or `target_index` is None; InvalidInput
+    unless `transform` is a RigidTransform and `target_index` a
+    NeighborIndex.
     """
     _require_kind(spec, cloud=True)
+    _require_type(transform, RigidTransform, spec.kind)
     points = _cloud_points(spec.kind, source, target_index)
     dists = target_index.nearest_distances(
         _moved(transform.rotation, transform.translation, points))
-    return HypothesisScore(_cloud_score(spec, dists[np.newaxis])[0], spec.kind)
+    return HypothesisScore(_cloud_score(spec, dists), spec.kind)

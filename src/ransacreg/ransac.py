@@ -14,8 +14,9 @@ specs from one shared error or nearest-neighbour pass. `run_ransac` is the
 two steps with one spec plus an argmax; the benchmark harness scores one
 stream under every metric and sweep value.
 
-Internally the samples are decoded in bulk from the generator's raw
-output, bit-equal to the `sample_minimal` loop that defines them, and the
+Internally the samples are drawn in bulk: one `Generator.integers` call
+makes the bounded integers of many `Generator.choice` calls, so they are
+bit-equal to the `sample_minimal` loop that defines them, and the
 per-iteration solves run through a batched kernel whose arithmetic
 matches the public solver element for element, so replaying the trace
 with `sample_minimal` + `estimate_rigid_transform` +
@@ -30,12 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BadConfig, PersistentDegeneracy, TooFewCorrespondences,
-                     _check_integers)
+                     _check_integers, _require_type)
 from .geom import (RigidTransform, _degeneracy_threshold, _estimate_rigid_batch,
                    _triangle_areas, triangle_area)
 from .metrics import (CLOUD_KINDS, CorrespondenceSet, HypothesisScore,
                       MetricSpec, _cloud_points, _cloud_values_batch,
-                      _corr_values_batch, _require_correspondences)
+                      _corr_values_batch)
 from .spatial import NeighborIndex
 
 __all__ = [
@@ -70,6 +71,8 @@ class RansacConfig:
     degeneracy_retries: int = 100
 
     def __post_init__(self):
+        _require_type(self.metric, MetricSpec, "RansacConfig.metric",
+                      BadConfig)
         _check_integers(self, seed=0, iterations=1, sample_size=SAMPLE_SIZE,
                         degeneracy_retries=1)
         if self.iterations > _MAX_ITERATIONS:
@@ -112,14 +115,14 @@ def sample_minimal(corrs: CorrespondenceSet, rng: np.random.Generator, *,
 
     This is the definition of the engine's sample sequence and the one
     replay uses: iteration i of a run seeded with `seed` draws what the
-    i-th call on `np.random.default_rng(seed)` returns. The engine decodes
+    i-th call on `np.random.default_rng(seed)` returns. The engine makes
     the same draws in bulk (`_sample_triples`).
 
     Raises :class:`InvalidInput` unless `corrs` is a CorrespondenceSet,
     :class:`TooFewCorrespondences` below 3 items and
     :class:`PersistentDegeneracy` when every attempt was degenerate.
     """
-    _require_correspondences(corrs, "sample_minimal")
+    _require_type(corrs, CorrespondenceSet, "sample_minimal")
     n = corrs.n
     if n < SAMPLE_SIZE:
         raise TooFewCorrespondences(f"need >= {SAMPLE_SIZE} correspondences, got {n}")
@@ -134,41 +137,26 @@ def sample_minimal(corrs: CorrespondenceSet, rng: np.random.Generator, *,
         f"no non-collinear sample in {degeneracy_retries + 1} attempts")
 
 
-# `Generator.choice(n, 3, replace=False)` (numpy 2.4, PCG64) spends one
-# Lemire-bounded 32-bit word per draw: Floyd's algorithm over [0, n-3],
-# [0, n-2] and [0, n-1], then a shuffle over [0, 2] and [0, 1]; a range of
-# one (the first draw at n = 3) takes none. Word w maps to (w * bound) >> 32
-# unless (w * bound) mod 2**32 falls below 2**32 mod bound: then the draw
-# takes the next word, so the decode deletes w and decodes the block again.
-def _decode_choices(words: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """The triples that consecutive `choice(n, 3, replace=False)` calls
-    return while they consume this stream of 32-bit words, and how many
-    words their complete calls consumed, rejected words included."""
-    bounds = np.array([n - 2, n - 1, n, 3, 2][n == 3:], dtype=np.uint64)
-    k = bounds.size
-    dropped = []  # the position each rejected word was deleted from
-    while True:
-        m = words[:words.size // k * k].reshape(-1, k) * bounds
-        rejected = np.flatnonzero((m & 0xFFFFFFFF) < (1 << 32) % bounds)
-        if rejected.size == 0:
-            break
-        dropped.append(rejected[0])
-        words = np.delete(words, rejected[0])
-    v = (m >> 32).astype(np.intp)
-    if n == 3:
-        v = np.column_stack([np.zeros(v.shape[0], dtype=np.intp), v])
+# `Generator.choice(n, 3, replace=False)` (numpy 2.4) makes five bounded
+# draws: Floyd's algorithm over [0, n-3], [0, n-2] and [0, n-1], then a
+# shuffle over [0, 2] and [0, 1]. Each is numpy's bounded-integer step,
+# the one `Generator.integers` takes for every element of an array of
+# bounds, so one `integers` call makes the draws of many `choice` calls.
+def _choices(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """The (m, 3) triples that m consecutive `rng.choice(n, 3,
+    replace=False)` calls return, leaving `rng` in the state they would."""
+    v = rng.integers(0, [n - 2, n - 1, n, 3, 2], size=(m, 5))
     # Floyd's collision fix: a repeated draw j takes the top of its range.
     first = v[:, 0]
     second = np.where(v[:, 1] == first, n - 2, v[:, 1])
     third = np.where((v[:, 2] == first) | (v[:, 2] == second), n - 1, v[:, 2])
     triples = np.column_stack([first, second, third])
-    rows = np.arange(triples.shape[0])
+    rows = np.arange(m)
     for i, j in ((2, v[:, 3]), (1, v[:, 4])):  # swap data[j] and data[i]
         swapped = triples[rows, j]
         triples[rows, j] = triples[:, i]
         triples[:, i] = swapped
-    # A word deleted after the last complete call belongs to the next one.
-    return triples, m.size + sum(p < m.size for p in dropped)
+    return triples
 
 
 def _sample_triples(corrs: CorrespondenceSet, seed: int, iterations: int,
@@ -176,27 +164,26 @@ def _sample_triples(corrs: CorrespondenceSet, seed: int, iterations: int,
     """The (iterations, 3) triples that `iterations` calls of
     `sample_minimal(corrs, np.random.default_rng(seed),
     min_triangle_area=min_area, degeneracy_retries=retries)` return, bit
-    for bit, decoded in bulk from the generator's raw output.
+    for bit, drawn in bulk.
 
-    The loop's candidates are consecutive `choice` calls on one word
-    stream (each 64-bit output low half first), so blocks of them are
-    decoded at once, the words of an unfinished call carried into the
-    next block, and the degenerate ones masked; iteration i takes the
-    i-th accepted candidate, and PersistentDegeneracy is raised where
-    `retries + 1` consecutive rejections fall inside one iteration.
+    The loop's candidates are consecutive `choice` calls on one
+    generator, so each round draws a block of them at once (`_choices`)
+    and masks the degenerate ones; iteration i takes the i-th accepted
+    candidate, and PersistentDegeneracy is raised where `retries + 1`
+    consecutive rejections fall inside one iteration. MemoryError, before
+    any allocation, when a round's draws are too many for one array.
     """
     src = corrs.sources
-    bitgen = np.random.default_rng(seed).bit_generator
-    words = np.empty(0, dtype=np.uint32)
+    rng = np.random.default_rng(seed)
     triples = np.empty((0, SAMPLE_SIZE), dtype=np.intp)
     accepted = np.empty(0, dtype=bool)
     while True:
-        need = iterations - np.count_nonzero(accepted)
-        raw = bitgen.random_raw(5 * (need + need // 16 + 8) // 2)
-        words = np.concatenate([words,
-                                raw.astype("<u8", copy=False).view("<u4")])
-        block, consumed = _decode_choices(words, corrs.n)
-        words = words[consumed:]
+        need = int(iterations - np.count_nonzero(accepted))
+        m = need + need // 16 + 8
+        if m * 5 * 8 > np.iinfo(np.intp).max:  # the (m, 5) int64 draws
+            raise MemoryError(f"a budget of {iterations} hypotheses draws "
+                              f"{m} samples, more than one array can hold")
+        block = _choices(rng, corrs.n, m)
         triples = np.concatenate([triples, block])
         accepted = np.concatenate([accepted, _triangle_areas(
             src[block[:, 0]], src[block[:, 1]], src[block[:, 2]]) > min_area])
@@ -217,7 +204,7 @@ def _sample_hypotheses(corrs: CorrespondenceSet, seed: int, iterations: int,
     and solve each: the stream's (rotations (H, 3, 3), translations (H, 3)).
 
     The samples are `sample_minimal`'s sequence, which replay uses;
-    `_sample_triples` decodes the same draws in bulk. Row i is iteration
+    `_sample_triples` makes the same draws in bulk. Row i is iteration
     i's hypothesis, so the first k rows do not depend on the budget.
     """
     if corrs.n < SAMPLE_SIZE:
@@ -274,10 +261,12 @@ def run_ransac(config: RansacConfig, corrs: CorrespondenceSet,
     `source` and `target_index` are required exactly when the configured
     metric compares whole clouds (pc-dist, overlap-count); correspondence
     metrics ignore them. Deterministic given (config, inputs). InvalidInput
-    unless `corrs` is a CorrespondenceSet.
+    unless `config` is a RansacConfig, `corrs` a CorrespondenceSet and, for
+    a cloud metric, `target_index` a NeighborIndex.
     """
     t_start = time.perf_counter()
-    _require_correspondences(corrs, "run_ransac")
+    _require_type(config, RansacConfig, "run_ransac")
+    _require_type(corrs, CorrespondenceSet, "run_ransac")
     rotations, translations = _sample_hypotheses(
         corrs, config.seed, config.iterations, config.degeneracy_retries)
     values, seconds = _score_hypotheses(rotations, translations,

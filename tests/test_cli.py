@@ -389,6 +389,18 @@ def test_budget_that_cannot_be_allocated_is_a_data_error(capsys, scene_files,
     assert not csv.exists()
 
 
+def test_budget_beyond_one_draw_array_is_out_of_memory(capsys, scene_files):
+    """The largest budget the config accepts cannot be sized as one round
+    of draws: exit 2 with one out-of-memory line naming the budget, and no
+    overflow warning or other output. Nothing is allocated."""
+    budget = str(2**63 - 1)
+    code, out, err = run_cli(capsys, "register", scene_files["src"],
+                             scene_files["tgt"], "--iterations", budget)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert f" {budget} " in err
+
+
 def test_info_single_point_has_no_resolution(capsys, tmp_path):
     path = tmp_path / "one.xyz"
     path.write_text("1 2 3\n")

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ransacreg import (
     BadConfig,
@@ -25,10 +27,13 @@ from ransacreg import (
     build_index,
     estimate_rigid_transform,
     evaluate_hypothesis,
+    evaluate_hypothesis_cloud,
     generate_correspondences,
     generate_scene,
+    rmse,
     run_ransac,
     sample_minimal,
+    time_metric_evaluation,
     triangle_area,
 )
 from ransacreg import metrics as metrics_module
@@ -40,6 +45,7 @@ from ransacreg.spatial import NeighborIndex
 from conftest import random_rigid
 
 MAE = MetricSpec(kind=MetricKind.MAE, t=7.5, pr=1.0)
+PC_DIST = MetricSpec(kind=MetricKind.PC_DIST, t=7.5, pr=1.0)
 
 
 def make_corrs(rng, n=120, outlier_ratio=0.5, spread=50.0):
@@ -68,6 +74,8 @@ def test_config_validation():
         RansacConfig(metric=MAE, seed=0, sample_size=4)
     with pytest.raises(BadConfig):
         RansacConfig(metric=MAE, seed=0, degeneracy_retries=0)
+    with pytest.raises(BadConfig, match="needs a MetricSpec, got str"):
+        RansacConfig(metric="mae", seed=0)
     cfg = RansacConfig(metric=MAE, seed=3)
     assert cfg.iterations == 1000
     assert cfg.sample_size == SAMPLE_SIZE == 3
@@ -114,24 +122,48 @@ def test_sample_minimal_rejects_all_collinear():
         sample_minimal(corrs, np.random.default_rng(0), degeneracy_retries=50)
 
 
-@pytest.mark.parametrize("user", ["run_ransac", "sample_minimal", "mae"])
-def test_non_correspondence_set_is_invalid_input(user):
-    """A (sources, targets) tuple raises InvalidInput naming what needs the
-    CorrespondenceSet, not an AttributeError."""
+@pytest.mark.parametrize("case", [
+    "run_ransac", "sample_minimal", "mae", "run_ransac-config",
+    "run_ransac-target_index", "pc-dist-target_index", "rmse",
+    "mae-transform", "pc-dist-transform", "time_metric_evaluation"])
+def test_non_correspondence_set_is_invalid_input(case):
+    """An argument of the wrong type, such as a (sources, targets) tuple
+    for a CorrespondenceSet or an (R, t) tuple for a RigidTransform, raises
+    InvalidInput naming what needs which type, not an AttributeError."""
     points = np.random.default_rng(0).normal(size=(10, 3))
-    pair = (points, points)
-    call = {
-        "run_ransac": lambda: run_ransac(
-            RansacConfig(metric=MAE, seed=0, iterations=5), pair),
-        "sample_minimal": lambda: sample_minimal(
+    pair, corrs = (points, points), CorrespondenceSet(points, points)
+    pose, ident = (np.eye(3), np.zeros(3)), RigidTransform.identity()
+    config = RansacConfig(metric=MAE, seed=0, iterations=5)
+    cloud_config = RansacConfig(metric=PC_DIST, seed=0, iterations=5)
+    call, message = {
+        "run_ransac": (lambda: run_ransac(config, pair),
+                       "run_ransac needs a CorrespondenceSet, got tuple"),
+        "sample_minimal": (lambda: sample_minimal(
             pair, np.random.default_rng(0)),
-        "mae": lambda: evaluate_hypothesis(
-            MAE, RigidTransform(np.eye(3), np.zeros(3)), pair),
-    }[user]
+            "sample_minimal needs a CorrespondenceSet, got tuple"),
+        "mae": (lambda: evaluate_hypothesis(MAE, ident, pair),
+                "mae needs a CorrespondenceSet, got tuple"),
+        "run_ransac-config": (lambda: run_ransac({"seed": 0}, corrs),
+                              "run_ransac needs a RansacConfig, got dict"),
+        "run_ransac-target_index": (lambda: run_ransac(
+            cloud_config, corrs, source=points, target_index=points),
+            "pc-dist needs a NeighborIndex, got ndarray"),
+        "pc-dist-target_index": (lambda: evaluate_hypothesis_cloud(
+            PC_DIST, ident, points, points),
+            "pc-dist needs a NeighborIndex, got ndarray"),
+        "rmse": (lambda: rmse(pose, np.stack([points, points], axis=1)),
+                 "rmse needs a RigidTransform, got tuple"),
+        "mae-transform": (lambda: evaluate_hypothesis(MAE, pose, corrs),
+                          "mae needs a RigidTransform, got tuple"),
+        "pc-dist-transform": (lambda: evaluate_hypothesis_cloud(
+            PC_DIST, pose, points, build_index(points)),
+            "pc-dist needs a RigidTransform, got tuple"),
+        "time_metric_evaluation": (lambda: time_metric_evaluation(
+            MAE, [pose], corrs), "mae needs a RigidTransform, got tuple"),
+    }[case]
     with pytest.raises(InvalidInput) as excinfo:
         call()
-    assert str(excinfo.value) == (
-        f"{user} needs a CorrespondenceSet, got tuple")
+    assert str(excinfo.value) == message
 
 
 def test_sample_minimal_skips_degenerate_triples():
@@ -151,13 +183,15 @@ def test_sample_minimal_skips_degenerate_triples():
         assert area > min_area
 
 
-# ------------------------------------------------- bulk sampling decode
+# ---------------------------------------------------------- bulk sampling
 #
-# The engine decodes sample_minimal's draws from the generator's raw output
-# (ransac._sample_triples), which mirrors numpy's Generator.choice. These
-# tests compare it with the sample_minimal loop bit for bit; they are the
-# ones that fail when a numpy upgrade changes choice, which would otherwise
-# move every hypothesis stream without notice.
+# The engine makes sample_minimal's draws in bulk (ransac._sample_triples):
+# one Generator.integers call draws the bounded integers of many
+# Generator.choice calls, and ransac._choices turns them into triples the
+# way choice does. These tests compare it with choice and with the
+# sample_minimal loop bit for bit; they are the ones that fail when a numpy
+# upgrade changes choice, which would otherwise move every hypothesis
+# stream without notice.
 
 
 def _loop_triples(corrs, seed, iterations, retries, min_area):
@@ -220,26 +254,26 @@ def test_bulk_sampling_masks_degenerate_candidates_like_the_loop(min_area):
 
 def test_bulk_sampling_decodes_a_lemire_rejection(monkeypatch):
     """Seed 59 at n = 100 000 draws a word that numpy's bounded-integer
-    step rejects and redraws: the decode drops that one word. Neither it
-    nor n = 3, whose first Floyd draw takes no word, runs the loop."""
-    dropped = []
-
-    def spy(words, n):
-        triples, consumed = decode(words, n)
-        dropped.append(consumed - 5 * triples.shape[0])
-        return triples, consumed
-
-    decode = ransac_module._decode_choices
+    step rejects and redraws, exactly once in the first 1000 calls. The
+    bulk draw follows it, and n = 3, whose first Floyd draw takes no word;
+    neither runs the loop."""
+    choice = np.random.default_rng(59).choice
+    calls = [choice(100_000, 3, replace=False) for _ in range(1000)]
+    # Five words a call and one redraw: the reference completes exactly
+    # 1000 calls from 5001 words only when they redraw exactly once.
+    raw = np.random.default_rng(59).bit_generator.random_raw(2501)
+    words = raw.astype("<u8", copy=False).view("<u4")[:5001]
+    reference, _, redrawn = _choice_reference(words, 100_000)
+    np.testing.assert_array_equal(reference, calls)
+    assert redrawn == 1
     src = np.random.default_rng(5).normal(size=(100_000, 3))
     corrs = CorrespondenceSet(src, src)
     tiny = CorrespondenceSet(src[:3], src[:3])
     loop = _loop_triples(corrs, 59, 1000, 100, 0.0)
     tiny_loop = _loop_triples(tiny, 0, 1000, 100, 0.0)
     monkeypatch.setattr(ransac_module, "sample_minimal", None)
-    monkeypatch.setattr(ransac_module, "_decode_choices", spy)
     np.testing.assert_array_equal(
         ransac_module._sample_triples(corrs, 59, 1000, 100, 0.0), loop)
-    assert dropped == [1]
     np.testing.assert_array_equal(
         ransac_module._sample_triples(tiny, 0, 1000, 100, 0.0), tiny_loop)
 
@@ -280,47 +314,27 @@ def _choice_reference(words, n):
     return np.array(triples, dtype=np.intp).reshape(-1, 3), consumed, rejected
 
 
-@pytest.mark.parametrize("n", [3, 4, 1000, 100_000])
-def test_decode_choices_matches_numpys_draw_on_planted_rejections(n):
-    """_decode_choices against the sequential reference, on a word stream
-    with zeros planted in it: a zero is rejected by every bound that is not
-    a power of two. They sit in each Floyd draw, in the [0, 2] shuffle
-    draw, twice in a row and in the last complete call, and the stream is
-    also decoded in two parts with the unfinished call carried over. The
-    reference is first checked against Generator.choice on PCG64's words,
-    low half of each 64-bit output first, which at n = 100 000 and seed 59
-    include a rejection."""
-    raw = np.random.default_rng(59).bit_generator.random_raw(2600)
-    reference, _, _ = _choice_reference(
-        raw.astype("<u8", copy=False).view("<u4"), n)
-    choice = np.random.default_rng(59).choice
-    np.testing.assert_array_equal(
-        reference[:1000], [choice(n, 3, replace=False) for _ in range(1000)])
-    bounds = [b for b in (n - 2, n - 1, n, 3, 2) if b > 1]
-    rng = np.random.default_rng(n)
-    # Zeros before draw d of call c, as {c: (d, ...)}; planted only where
-    # the bound rejects them.
-    planted = {1: (0,), 3: (1,), 5: (2,), 7: (len(bounds) - 2,),
-               9: (1, 1), 38: (1,), 39: (0, 3)}
-    words, zeros = [], 0
-    for c in range(40):
-        for d, bound in enumerate(bounds):
-            if bound & (bound - 1):
-                k = planted.get(c, ()).count(d)
-                words += [0] * k
-                zeros += k if c < 39 else 0
-            words.append(int(rng.integers(1, 2**32)))
-    words = np.array(words[:-1], dtype=np.uint32)  # call 39 is unfinished
-    triples, consumed, rejected = _choice_reference(words, n)
-    assert triples.shape == (39, 3) and rejected == zeros >= 5
-    got, got_consumed = ransac_module._decode_choices(words, n)
-    np.testing.assert_array_equal(got, triples)
-    assert got_consumed == consumed
-    for cut in (9 * len(bounds) + 1, consumed - 1, consumed + 1):
-        head, used = ransac_module._decode_choices(words[:cut], n)
-        tail, rest = ransac_module._decode_choices(words[used:], n)
-        np.testing.assert_array_equal(np.concatenate([head, tail]), triples)
-        assert used + rest == consumed
+@pytest.mark.parametrize("n", [3, 4, 1000, 100_000, 2**31 + 1, 2**32 + 7])
+def test_choices_match_consecutive_choice_calls(n):
+    """_choices(rng, n, 300) and then _choices(rng, n, 400) return what 700
+    consecutive choice(n, 3, replace=False) calls return and leave the
+    generator in the state those calls leave, so each round of the bulk
+    draw carries on where the last one stopped. At n = 2**31 + 1 about half
+    the draws over [0, n) are redrawn, several in a row and in the last
+    call among them; from n = 2**32 on numpy draws 64-bit words. Below
+    that, the sequential reference gives the same triples from PCG64's
+    words."""
+    rng, loop = np.random.default_rng(59), np.random.default_rng(59)
+    got = np.concatenate([ransac_module._choices(rng, n, 300),
+                          ransac_module._choices(rng, n, 400)])
+    calls = np.array([loop.choice(n, 3, replace=False) for _ in range(700)])
+    np.testing.assert_array_equal(got, calls)
+    assert rng.bit_generator.state == loop.bit_generator.state
+    if n < 2**32:
+        raw = np.random.default_rng(59).bit_generator.random_raw(4000)
+        reference, _, _ = _choice_reference(
+            raw.astype("<u8", copy=False).view("<u4"), n)
+        np.testing.assert_array_equal(reference[:700], calls)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -345,6 +359,39 @@ def test_bulk_sampling_raises_persistent_degeneracy_where_the_loop_does(seed):
     assert str(bulk_exc.value) == str(loop_exc.value)
 
 
+@st.composite
+def _small_degenerate_sets(draw):
+    """3 to 40 points on a 3 x 3 x 3 grid, so duplicated and collinear
+    rows are common, the first few of them (or all) moved onto one line."""
+    n = draw(st.integers(3, 40))
+    cells = draw(st.lists(st.integers(0, 26), min_size=n, max_size=n))
+    points = np.array([[c % 3, c // 3 % 3, c // 9] for c in cells], float)
+    points[:draw(st.integers(0, n)), 1:] = 0.0
+    return CorrespondenceSet(points, points)
+
+
+@settings(max_examples=100)
+@given(corrs=_small_degenerate_sets(), seed=st.integers(min_value=0),
+       iterations=st.integers(1, 200), retries=st.integers(0, 5),
+       default_area=st.booleans())
+def test_bulk_sampling_matches_the_loop_on_small_degenerate_sets(
+        corrs, seed, iterations, retries, default_area):
+    """_sample_triples gives the sample_minimal loop's triples, or raises
+    the same PersistentDegeneracy where the loop raises it."""
+    min_area = (_degeneracy_threshold(corrs.sources) if default_area
+                else 0.0)
+    try:
+        loop = _loop_triples(corrs, seed, iterations, retries, min_area)
+    except PersistentDegeneracy as loop_exc:
+        with pytest.raises(PersistentDegeneracy) as bulk_exc:
+            ransac_module._sample_triples(corrs, seed, iterations, retries,
+                                          min_area)
+        assert str(bulk_exc.value) == str(loop_exc)
+    else:
+        np.testing.assert_array_equal(ransac_module._sample_triples(
+            corrs, seed, iterations, retries, min_area), loop)
+
+
 # ---------------------------------------------------------------- run loop
 
 
@@ -353,6 +400,18 @@ def test_run_ransac_requires_three_correspondences():
     cfg = RansacConfig(metric=MAE, seed=0, iterations=5)
     with pytest.raises(TooFewCorrespondences):
         run_ransac(cfg, corrs)
+
+
+@pytest.mark.parametrize("iterations", [2**63 - 1, 2**62])
+def test_budget_beyond_one_draw_array_raises_memory_error(iterations):
+    """A budget whose first round of draws is too large for one array
+    raises MemoryError naming the budget, without a RuntimeWarning from
+    wrapped int64 arithmetic. Both budgets exceed the address space, and
+    nothing is allocated."""
+    corrs, _ = make_corrs(np.random.default_rng(0), n=20)
+    with pytest.raises(MemoryError, match=f"budget of {iterations} "):
+        run_ransac(RansacConfig(metric=MAE, seed=0, iterations=iterations),
+                   corrs)
 
 
 def test_run_ransac_propagates_persistent_degeneracy():
