@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedFormat
+from .errors import ParseError, UnsupportedFormat, _require_type
 from .geom import PointCloud, RigidTransform
 from .metrics import CorrespondenceSet
 from .spatial import COORD_LIMIT, _in_coord_domain
@@ -355,6 +355,7 @@ def _format_row(row: np.ndarray) -> str:
 
 def write_correspondence_file(path, corrs: CorrespondenceSet) -> None:
     """Write correspondences as "xs ys zs xt yt zt" lines."""
+    _require_type(corrs, CorrespondenceSet, "write_correspondence_file")
     with open(str(path), "w", encoding="utf-8") as fh:
         for s, t in zip(corrs.sources, corrs.targets):
             fh.write(_format_row(s) + " " + _format_row(t) + "\n")
@@ -362,6 +363,7 @@ def write_correspondence_file(path, corrs: CorrespondenceSet) -> None:
 
 def write_transform_file(path, transform: RigidTransform) -> None:
     """Write a transform as three "[R | t]" rows."""
+    _require_type(transform, RigidTransform, "write_transform_file")
     with open(str(path), "w", encoding="utf-8") as fh:
         for row in transform.matrix3x4():
             fh.write(_format_row(row) + "\n")
@@ -369,6 +371,7 @@ def write_transform_file(path, transform: RigidTransform) -> None:
 
 def write_cloud_file(path, cloud: PointCloud, format: str | None = None) -> None:
     """Write a cloud as ASCII XYZ or ASCII PLY (suffix-detected by default)."""
+    _require_type(cloud, PointCloud, "write_cloud_file")
     path = str(path)
     format = _resolve_format(path, format)
     pts = cloud.points

@@ -86,7 +86,8 @@ def _require_type(value, cls: type, user: str, error: type = InvalidInput
                   ) -> None:
     """Raise `error` unless `value` is a `cls`; `user` names what needs it."""
     if not isinstance(value, cls):
-        raise error(f"{user} needs a {cls.__name__}, "
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise error(f"{user} needs {article} {cls.__name__}, "
                     f"got {type(value).__name__}")
 
 

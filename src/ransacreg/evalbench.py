@@ -11,10 +11,11 @@ stream group): the true pairs, the target's resolution and index, the
 correspondences and one hypothesis stream, solved at the sweep's largest
 budget once for all values (once per value on the axes that change the
 correspondences). One shared scoring pass scores the stream under every
-distinct (metric, value) spec. Each cell then grades its own winner into
-running sums: a `t` value is one more spec, an `iterations` value an
-argmax over a prefix of the stream, a `d_rmse` value a re-threshold of
-the same registration. Seeds derive from (base_seed, trial index, role)
+distinct (metric, value) spec and returns each spec's winner at every
+budget of the group. Each cell then grades its own winner into running
+sums: a `t` value is one more spec, an `iterations` value the winner of a
+prefix of the stream, a `d_rmse` value a re-threshold of the same
+registration. Seeds derive from (base_seed, trial index, role)
 only, never from the swept value, so all values and metrics of one trial
 face the same scene and stream. Thresholds (t, t_overlap, d_rmse) are set
 in resolution units, bound to each trial's (possibly degraded) target.
@@ -199,7 +200,8 @@ class ExperimentRow:
     accuracy = correct trials / trials. mean_rmse_pr averages RMSE (in
     resolution units) over the CORRECT trials only (NaN when none).
     mean_eval_time_s is the cell's eval time per registered pair, as
-    :func:`~ransacreg.metrics._score_pass` defines it, prorated to the
+    :func:`~ransacreg.metrics._score_pass` defines it (the shared pass, the
+    spec's reductions and its fold into prefix winners), prorated to the
     cell's share of the stream on the iterations axis.
     Sampling and solving are shared and excluded, so it is not the cost
     of a separate RANSAC run. For the cloud metrics it covers the queries
@@ -304,8 +306,12 @@ def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
     per-trial derived seeds. Row order is metric order x ascending sweep
     value. Everything except the timing fields replays bit-exactly for a
     fixed configuration, and equals what one `run_ransac` call per
-    (trial, metric, value) would give.
+    (trial, metric, value) would give. InvalidInput unless the three
+    configs have their types.
     """
+    _require_type(cfg, EvalConfig, "run_experiment")
+    _require_type(scene_cfg, SceneConfig, "run_experiment")
+    _require_type(corr_cfg, CorrespondenceConfig, "run_experiment")
     axis, values = cfg.sweep_axis, cfg.sweep_values
     budgets = [int(round(v)) if axis == "iterations" else cfg.iterations
                for v in values]
@@ -321,14 +327,13 @@ def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
                  for mi, plan in enumerate(cfg.metrics)
                  for vi in rec.value_indices}
         specs = tuple(dict.fromkeys(cells.values()))
-        scores, seconds = _score_hypotheses(rec.rotations, rec.translations,
-                                            specs, rec.corrs, rec.source,
-                                            rec.index)
+        ends = sorted({budgets[vi] for vi in rec.value_indices})
+        scored = _score_hypotheses(rec.rotations, rec.translations, specs,
+                                   ends, rec.corrs, rec.source, rec.index)
         rmse_of: dict[int, float] = {}
         for (mi, vi), spec in cells.items():
-            k, n_hyp = specs.index(spec), budgets[vi]
-            # np.argmax takes the first maximum: earliest-iteration tie rule.
-            best = int(np.argmax(scores[k, :n_hyp]))
+            (winners, seconds), n_hyp = scored[specs.index(spec)], budgets[vi]
+            best, _ = winners[ends.index(n_hyp)]
             if best not in rmse_of:
                 rmse_of[best] = rmse(RigidTransform(
                     rec.rotations[best], rec.translations[best]), rec.gt_pairs)
@@ -337,7 +342,7 @@ def run_experiment(cfg: EvalConfig, scene_cfg: SceneConfig,
             if is_correct(rmse_of[best], d_rmse_pr, rec.pr):
                 cell[0] += 1
                 cell[1] += rmse_of[best] / rec.pr
-            cell[2] += seconds[k] * (n_hyp / len(rec.rotations))
+            cell[2] += seconds * (n_hyp / len(rec.rotations))
             cell[3] += rec.build_s if spec.kind in CLOUD_KINDS else 0.0
     return [ExperimentRow(
         metric=cfg.metrics[mi].kind.value,
@@ -361,9 +366,11 @@ def time_metric_evaluation(spec: MetricSpec, transforms,
     recommended for stable numbers), one after another on the calling
     thread, which runs each call's work itself (the cloud metrics'
     nearest-neighbour query included); sampling, solving, and index build
-    are excluded. Raises :class:`InvalidInput` with no hypotheses and
-    whatever the scoring function raises for missing or malformed input.
+    are excluded. Raises :class:`InvalidInput` with no hypotheses or a
+    `spec` that is not a MetricSpec, and whatever the scoring function
+    raises for missing or malformed input.
     """
+    _require_type(spec, MetricSpec, "time_metric_evaluation")
     transforms = list(transforms)
     if not transforms:
         raise InvalidInput("need at least one hypothesis to time")

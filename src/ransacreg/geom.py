@@ -61,7 +61,7 @@ class PointCloud:
 
     def select(self, indices) -> "PointCloud":
         """New cloud containing self.points[indices] in the given order."""
-        return PointCloud(self.points[_as_indices(indices)])
+        return PointCloud(self.points[_as_indices(indices, len(self))])
 
 
 @dataclass(frozen=True, eq=False)

@@ -142,7 +142,7 @@ class CorrespondenceSet:
         return Correspondence(self.sources[j], self.targets[j])
 
     def take(self, indices) -> "CorrespondenceSet":
-        idx = _as_indices(indices)
+        idx = _as_indices(indices, self.n)
         return CorrespondenceSet(self.sources[idx], self.targets[idx])
 
 
@@ -269,7 +269,11 @@ def transformation_error(c: Correspondence, transform: RigidTransform) -> float:
 
 def transformation_errors(transform: RigidTransform,
                           corrs: CorrespondenceSet) -> np.ndarray:
-    """Vector of per-correspondence errors under a hypothesis."""
+    """Vector of per-correspondence errors under a hypothesis; InvalidInput
+    unless `transform` is a RigidTransform and `corrs` a
+    CorrespondenceSet."""
+    _require_type(transform, RigidTransform, "transformation_errors")
+    _require_type(corrs, CorrespondenceSet, "transformation_errors")
     return _pair_errors(transform.rotation, transform.translation,
                         corrs.sources, corrs.targets)
 
@@ -331,8 +335,10 @@ def score_errors(spec: MetricSpec, errors) -> np.ndarray:
     """Per-correspondence scores for an array of transformation errors.
 
     The strict inlier test e < t picks the branch for every kind; see
-    :func:`score_correspondence` for the per-kind formulas.
+    :func:`score_correspondence` for the per-kind formulas. InvalidInput
+    unless `spec` is a MetricSpec.
     """
+    _require_type(spec, MetricSpec, "score_errors")
     _require_kind(spec, cloud=False)
     try:
         e = np.asarray(errors, dtype=np.float64)
@@ -360,7 +366,10 @@ def score_correspondence(spec: MetricSpec, e: float) -> float:
     - quantile:     m |e - t| / t          / (1 - m) |e - t| / e
     - neg-quantile: m |e - t| / t          / (m - 1) |e - t| / e
     - huber:        -e^2 / 2               / -t (e - t / 2)
+
+    InvalidInput unless `spec` is a MetricSpec.
     """
+    _require_type(spec, MetricSpec, "score_correspondence")
     e = float(e)
     if not np.isfinite(e) or e < 0.0:
         raise InvalidInput(f"transformation error must be finite and >= 0, got {e}")
@@ -378,47 +387,61 @@ def score_correspondence(spec: MetricSpec, e: float) -> float:
 _BATCH_ELEMENTS = 65_536
 
 
-def _score_pass(specs, order, h: int, blocks, reduce
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce every spec's scores from one shared pass over h hypotheses.
+def _score_pass(specs, order, ends, blocks, reduce, best=None
+                ) -> list[tuple[list, float]]:
+    """Fold every spec's scores from one shared pass over a hypothesis
+    stream into its winners at the ascending prefix lengths `ends`.
 
-    `blocks` lazily yields (hypothesis slice, shared data) pairs and
-    `reduce(spec, data)` turns one block's data into that spec's scores,
-    for the spec indices in `order` within each block.
-    Returns (values, seconds): values[k, i] is specs[k]'s score of
-    hypothesis i, and seconds[k] is spec k's eval time.
+    `blocks` lazily yields (hypothesis slice, shared data) pairs in stream
+    order, and no block straddles an end. `reduce(spec, data)` turns one
+    block's data into an array of that spec's scores of the slice, for
+    the spec indices in `order` within each block. `best[k]` holds spec
+    k's running winner (i, score): hypothesis 0 sets it and a strictly
+    higher score replaces it, in place, so the code behind `blocks` may
+    read it while the pass runs. Returns one (winners, seconds) pair per
+    spec: winners[j] is the spec's winner of the first ends[j] hypotheses,
+    the first hypothesis with their maximum score (ties go to the earlier
+    one, as in RANSAC), and seconds is the spec's eval time.
 
     Eval time, the one definition behind every eval-time field and
     column: the calling thread's wall time spent advancing `blocks` (the
     shared pass, as far as this thread does it or waits for it) plus the
-    time of spec k's own `reduce` calls. Work that `reduce` does once for
-    several specs counts for the spec whose call did it; work that other
-    threads finish while this one reduces is not counted.
+    time of spec k's own `reduce` calls and folds. Work that `reduce` does
+    once for several specs counts for the spec whose call did it; work
+    that other threads finish while this one reduces is not counted.
     """
-    values = np.empty((len(specs), h))
-    own_s = np.zeros(len(specs))
+    best = [None] * len(specs) if best is None else best
+    winners = [[] for _ in specs]
+    own_s = [0.0] * len(specs)
     shared_s = 0.0
     t0 = time.perf_counter()
     for where, data in blocks:  # advancing `blocks` runs the shared pass
         t1 = time.perf_counter()
         shared_s += t1 - t0
         for k in order:
-            values[k, where] = reduce(specs[k], data)
+            scores = reduce(specs[k], data)
+            j = int(scores.argmax())
+            if not where.start or scores[j] > best[k][1]:
+                best[k] = where.start + j, float(scores[j])
+            if where.stop in ends:
+                winners[k].append(best[k])
             t0 = time.perf_counter()
             own_s[k] += t0 - t1
             t1 = t0
-    return values, shared_s + own_s
+    return [(w, shared_s + s) for w, s in zip(winners, own_s)]
 
 
 def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
-                       sources: np.ndarray, targets: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of many (R, t) hypotheses against one correspondence set,
-    for several correspondence specs at once; see :func:`_score_pass`.
+                       ends, sources: np.ndarray, targets: np.ndarray
+                       ) -> list[tuple[list, float]]:
+    """The prefix winners of many (R, t) hypotheses scored against one
+    correspondence set, for several correspondence specs at once; see
+    :func:`_score_pass`.
 
     A helper thread runs the :func:`_errors_batch` kernel one chunk ahead,
     into the one of two reused buffers that the calling thread is not
-    reading. The calling thread prepares each chunk of squared errors once
+    reading. A chunk ends every `_BATCH_ELEMENTS` // n rows and at each of
+    `ends`. The calling thread prepares each chunk of squared errors once
     for every spec. If a kind whose outliers score 0 (inlier-count, mae,
     mse, log-cosh, exp) is in the pass, it extracts the candidates: the
     errors with e^2 <= fl(t_max^2), t_max the largest t of these kinds, get
@@ -434,12 +457,12 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     kernel wait that the reductions did not hide, the extraction and the
     chunk's sqrt; a smaller threshold's cut counts for its first spec.
 
-    Element-for-element identical to :func:`evaluate_hypothesis`: the
-    kernel is batch-size independent, sqrt is correctly rounded on any
-    subset, and each row sums every score at its position and 0 elsewhere.
+    Each score is element-for-element identical to
+    :func:`evaluate_hypothesis`: the kernel is batch-size independent,
+    sqrt is correctly rounded on any subset, and each row sums every score
+    at its position and 0 elsewhere, so no bit depends on where chunks end.
     """
-    h = rotations.shape[0]
-    n = sources.shape[0]
+    h, n = rotations.shape[0], sources.shape[0]
     chunk = max(1, _BATCH_ELEMENTS // max(n, 1))
     rows = min(chunk, h)
     # Column-major copies keep every point column the kernel broadcasts
@@ -489,30 +512,31 @@ def _corr_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
         sink[idx] = 0.0
         return total
 
+    # Chunk c holds hypotheses edges[c]..edges[c + 1] - 1.
+    edges = [0, *sorted({*range(chunk, h, chunk), *ends})]
     # Only the kernel runs on the helper, into the buffers above, so it
     # allocates nothing there. Candidate extraction and the reductions stay
     # on this thread. Leaving the `with` block waits for the kernel in
     # flight, also when a step raises.
     with ThreadPoolExecutor(1) as pool:
-        def kernel(lo):
-            r = min(chunk, h - lo)
+        def kernel(c):
+            lo, hi = edges[c:c + 2]
             return pool.submit(
-                _errors_batch, rotations[lo:lo + r], translations[lo:lo + r],
-                sources, targets, out=(results[lo // chunk % 2, :r],
-                                       scratch[0, :r], scratch[1, :r]))
+                _errors_batch, rotations[lo:hi], translations[lo:hi], sources,
+                targets, out=(results[c % 2, :hi - lo], *scratch[:, :hi - lo]))
 
         def blocks():
             pending = kernel(0)
-            for lo in range(0, h, chunk):
+            for c in range(len(edges) - 1):
                 e = pending.result()
-                if lo + chunk < h:  # the next chunk, while this one is reduced
-                    pending = kernel(lo + chunk)
+                if c + 2 < len(edges):  # the next chunk, while this one is reduced
+                    pending = kernel(c + 1)
                 cut = candidates(e) if t_max else None
                 if dense:  # after the extraction, which reads e^2
                     np.sqrt(e, out=e)
-                yield slice(lo, lo + chunk), (e, cut)
+                yield slice(*edges[c:c + 2]), (e, cut)
 
-        return _score_pass(specs, order, h, blocks(), reduce)
+        return _score_pass(specs, order, ends, blocks(), reduce)
 
 
 def _cloud_points(kind: MetricKind, source,
@@ -611,10 +635,10 @@ _CLOUD_BLOCK = 1024
 
 
 def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
-                        points: np.ndarray, target_index: NeighborIndex
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-cloud scores of many hypotheses for several cloud specs at
-    once; see :func:`_score_pass`.
+                        ends, points: np.ndarray, target_index: NeighborIndex
+                        ) -> list[tuple[list, float]]:
+    """The prefix winners of many hypotheses under several cloud specs at
+    once, from whole-cloud scores; see :func:`_score_pass`.
 
     A pool of one thread per CPU core lives for the pass. Each task moves
     the source cloud by one hypothesis and queries it with
@@ -627,20 +651,20 @@ def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     the same order as :func:`evaluate_hypothesis_cloud` and every score
     keeps its bits.
 
-    After reducing hypothesis i the calling thread publishes each spec's
-    best score over hypotheses 0..i. Each task also bounds every moved
-    point's distance from below by its gap to the target's bounding
-    sphere (:func:`_sphere_gaps`, O(n) numpy, no query). Before every
-    block, the first one included, it bounds its hypothesis's scores:
-    pc-dist's mean is at least the running distance sum plus the gaps of
-    the points not yet queried, over n, less a rounding margin, and
-    overlap-count's count is at most the running hit count plus the
+    Each task reads the pass's running best scores, which the calling
+    thread raises as it folds each hypothesis's scores. It also bounds
+    every moved point's distance from below by its gap to the target's
+    bounding sphere (:func:`_sphere_gaps`, O(n) numpy, no query). Before
+    every block, the first one included, it bounds its hypothesis's
+    scores: pc-dist's mean is at least the running distance sum plus the
+    gaps of the points not yet queried, over n, less a rounding margin,
+    and overlap-count's count is at most the running hit count plus the
     unqueried points whose gap is below t_overlap. When no spec's bound
-    exceeds its published best, an earlier hypothesis scores at least as
+    exceeds its running best, an earlier hypothesis scores at least as
     high on every spec and wins every prefix of the stream that holds both
     (ties go to the earlier), so the task stops, possibly before its first
-    query, and the hypothesis scores -inf. Every other score is exact:
-    values[k, i] is exact wherever i can be a prefix's first maximum.
+    query, and the hypothesis scores -inf, which never wins a prefix.
+    Every other score is exact, so every winner's score is.
 
     Eval time is :func:`_score_pass`'s. Here the shared pass is the
     calling thread's wait on the pool.
@@ -649,7 +673,7 @@ def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
     order = _leaf_order(points)
     coherent = points[order]
     width = os.cpu_count() or 1
-    best = dict.fromkeys(specs, -np.inf)
+    best = [(0, -np.inf)] * len(specs)
     # For n non-negative terms summed in any order, each rounded sum is
     # within a factor (1 +- u)^n of the exact one, u = eps / 2: the running
     # sum s of the queried distances, the sum g of the unqueried points'
@@ -681,8 +705,8 @@ def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
         dists = np.empty(n)
         acc = [0] * len(specs)
         for j, lo in enumerate(starts):
-            if all(bound(spec, a, rest[j]) <= best[spec]
-                   for spec, a, rest in zip(specs, acc, rests)):
+            if all(bound(spec, a, rest[j]) <= top
+                   for spec, a, rest, (_, top) in zip(specs, acc, rests, best)):
                 return None
             block = dists[lo:lo + _CLOUD_BLOCK]
             block[:] = target_index.nearest_distances(
@@ -694,12 +718,8 @@ def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
         row[order] = dists
         return row
 
-    def reduce(spec, row):
-        if row is None:  # stopped: an earlier hypothesis wins
-            return -np.inf
-        score = _cloud_score(spec, row)
-        best[spec] = max(best[spec], score)
-        return score
+    def reduce(spec, row):  # a stopped row: an earlier hypothesis wins
+        return np.array([-np.inf if row is None else _cloud_score(spec, row)])
 
     # Leaving the `with` block waits for every submitted task and joins the
     # pool's threads, also when a step raises.
@@ -713,7 +733,8 @@ def _cloud_values_batch(specs, rotations: np.ndarray, translations: np.ndarray,
                     pending.append(pool.submit(task, i + ahead))
                 yield slice(i, i + 1), row
 
-        return _score_pass(specs, range(len(specs)), h, blocks(), reduce)
+        return _score_pass(specs, range(len(specs)), ends, blocks(), reduce,
+                           best)
 
 
 def evaluate_hypothesis(spec: MetricSpec, transform: RigidTransform,
@@ -721,9 +742,10 @@ def evaluate_hypothesis(spec: MetricSpec, transform: RigidTransform,
     """Total score S(T) = sum of per-correspondence scores; empty set -> 0.
 
     The RANSAC loop scores through :func:`_corr_values_batch`, which gives
-    the same bits. InvalidInput unless `transform` is a RigidTransform and
-    `corrs` a CorrespondenceSet.
+    the same bits. InvalidInput unless `spec` is a MetricSpec, `transform`
+    a RigidTransform and `corrs` a CorrespondenceSet.
     """
+    _require_type(spec, MetricSpec, "evaluate_hypothesis")
     _require_type(transform, RigidTransform, spec.kind)
     _require_type(corrs, CorrespondenceSet, spec.kind)
     errors = _pair_errors(transform.rotation, transform.translation,
@@ -740,9 +762,10 @@ def evaluate_hypothesis_cloud(spec: MetricSpec, transform: RigidTransform,
     its nearest target point (0 is perfect). overlap-count: number of
     transformed source points strictly within t_overlap of the target.
     MissingClouds when `source` or `target_index` is None; InvalidInput
-    unless `transform` is a RigidTransform and `target_index` a
-    NeighborIndex.
+    unless `spec` is a MetricSpec, `transform` a RigidTransform and
+    `target_index` a NeighborIndex.
     """
+    _require_type(spec, MetricSpec, "evaluate_hypothesis_cloud")
     _require_kind(spec, cloud=True)
     _require_type(transform, RigidTransform, spec.kind)
     points = _cloud_points(spec.kind, source, target_index)

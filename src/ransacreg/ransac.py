@@ -10,9 +10,10 @@ seed.
 The engine runs in two steps. `_sample_hypotheses` draws and solves the
 whole stream, which is a pure function of (correspondences, seed,
 budget); `_score_hypotheses` then scores it under any number of metric
-specs from one shared error or nearest-neighbour pass. `run_ransac` is the
-two steps with one spec plus an argmax; the benchmark harness scores one
-stream under every metric and sweep value.
+specs from one shared error or nearest-neighbour pass, which folds each
+spec's scores into its winners at the requested prefix lengths. `run_ransac`
+is the two steps with one spec and one prefix, the whole budget; the
+benchmark harness scores one stream under every metric and sweep value.
 
 Internally the samples are drawn in bulk: one `Generator.integers` call
 makes the bounded integers of many `Generator.choice` calls, so they are
@@ -216,41 +217,38 @@ def _sample_hypotheses(corrs: CorrespondenceSet, seed: int, iterations: int,
 
 
 def _score_hypotheses(rotations: np.ndarray, translations: np.ndarray, specs,
-                      corrs: CorrespondenceSet, source=None,
+                      ends, corrs: CorrespondenceSet, source=None,
                       target_index: NeighborIndex | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Score every hypothesis of a stream under every spec.
+                      ) -> list[tuple[list, float]]:
+    """Score a stream of hypotheses under every spec and return, for each
+    spec, its winners at the prefix lengths `ends` and its eval seconds.
 
-    Returns (values, seconds): values[k, i] is specs[k]'s score of
-    hypothesis i, exact wherever i can be a prefix's first maximum, -inf
-    where an earlier hypothesis provably scores at least as high on every
-    cloud spec of the pass (proved before each block of k-d tree queries,
-    the first one included, from the distances queried so far and the
-    other points' gaps to the target's bounding sphere); seconds[k] is
-    the time the calling thread spent in the shared pass plus spec k's
-    own reductions. Correspondence specs share one error pass
-    (:func:`~ransacreg.metrics._corr_values_batch`), cloud specs one
-    nearest-neighbour pass
+    `ends` ascend without repeats, and the last is the stream's length.
+    Entry k is (winners, seconds): winners[j] is (i, score), the first of
+    the first ends[j] hypotheses with specs[k]'s maximum score, and
+    seconds is the time the calling thread spent in the shared pass plus
+    spec k's own reductions, as :func:`~ransacreg.metrics._score_pass`
+    defines it. The cloud specs are scored first. Correspondence specs
+    share one error pass (:func:`~ransacreg.metrics._corr_values_batch`),
+    cloud specs one nearest-neighbour pass
     (:func:`~ransacreg.metrics._cloud_values_batch`), which needs `source`
     and `target_index`; MissingClouds, EmptyCloud or InvalidInput is raised
     before any scoring when they are absent, the source is empty or its
     points are malformed.
     """
-    values = np.empty((len(specs), rotations.shape[0]))
-    seconds = np.empty(len(specs))
-    corr_rows = [k for k, s in enumerate(specs) if s.kind not in CLOUD_KINDS]
+    scored = {}
     cloud_rows = [k for k, s in enumerate(specs) if s.kind in CLOUD_KINDS]
-    if cloud_rows:
-        points = _cloud_points(specs[cloud_rows[0]].kind, source, target_index)
+    if cloud_rows:  # first, so the clouds are checked before any scoring
+        scored.update(zip(cloud_rows, _cloud_values_batch(
+            [specs[k] for k in cloud_rows], rotations, translations, ends,
+            _cloud_points(specs[cloud_rows[0]].kind, source, target_index),
+            target_index)))
+    corr_rows = [k for k in range(len(specs)) if k not in scored]
     if corr_rows:
-        values[corr_rows], seconds[corr_rows] = _corr_values_batch(
-            [specs[k] for k in corr_rows], rotations, translations,
-            corrs.sources, corrs.targets)
-    if cloud_rows:
-        values[cloud_rows], seconds[cloud_rows] = _cloud_values_batch(
-            [specs[k] for k in cloud_rows], rotations, translations, points,
-            target_index)
-    return values, seconds
+        scored.update(zip(corr_rows, _corr_values_batch(
+            [specs[k] for k in corr_rows], rotations, translations, ends,
+            corrs.sources, corrs.targets)))
+    return [scored[k] for k in range(len(specs))]
 
 
 def run_ransac(config: RansacConfig, corrs: CorrespondenceSet,
@@ -269,16 +267,14 @@ def run_ransac(config: RansacConfig, corrs: CorrespondenceSet,
     _require_type(corrs, CorrespondenceSet, "run_ransac")
     rotations, translations = _sample_hypotheses(
         corrs, config.seed, config.iterations, config.degeneracy_retries)
-    values, seconds = _score_hypotheses(rotations, translations,
-                                        (config.metric,), corrs, source,
-                                        target_index)
-    # np.argmax takes the first maximum: earliest-iteration tie rule.
-    best_i = int(np.argmax(values[0]))
+    [([(best_i, score)], seconds)] = _score_hypotheses(
+        rotations, translations, (config.metric,), (config.iterations,),
+        corrs, source, target_index)
     return RegistrationResult(
         best_transform=RigidTransform(rotations[best_i], translations[best_i]),
-        best_score=HypothesisScore(values[0, best_i], config.metric.kind),
+        best_score=HypothesisScore(score, config.metric.kind),
         best_iteration=best_i,
         hypotheses_evaluated=config.iterations,
-        elapsed_eval_time=float(seconds[0]),
+        elapsed_eval_time=seconds,
         elapsed_total_time=time.perf_counter() - t_start,
     )

@@ -58,11 +58,19 @@ def _as_array(values, name: str) -> np.ndarray:
         raise InvalidInput(f"{name} must be a numeric array: {exc}") from None
 
 
-def _as_indices(indices) -> np.ndarray:
-    """`np.asarray(indices)` as a row index; an empty one selects no row
-    (numpy reads `[]` as float64, which cannot index)."""
-    idx = np.asarray(indices)
-    return idx if idx.size else idx.astype(np.intp)
+def _as_indices(indices, n: int) -> np.ndarray:
+    """`np.asarray(indices)` as a row index into n rows: integers in
+    [-n, n) or a mask of n booleans, as numpy reads them. An empty one
+    selects no row (numpy reads `[]` as float64, which cannot index).
+    InvalidInput for any other index."""
+    idx = _as_array(indices, "indices")
+    if not idx.size:
+        return idx.astype(np.intp)
+    if (idx.dtype.kind == "b" and idx.shape == (n,)
+            or idx.dtype.kind in "iu" and -n <= idx.min() and idx.max() < n):
+        return idx
+    raise InvalidInput(f"indices must be integers in [-{n}, {n}) or a mask "
+                       f"of {n} booleans")
 
 
 def _in_coord_domain(values: np.ndarray, limit: float = COORD_LIMIT) -> bool:

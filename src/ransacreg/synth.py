@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, InvalidInput, _check_integers, _check_reals
+from .errors import (BadConfig, InvalidInput, _check_integers, _check_reals,
+                     _require_type)
 from .geom import PointCloud, RigidTransform, rotation_about_axis
 from .metrics import CorrespondenceSet
 from .spatial import _as_array, _as_points, _frozen_points, _scan_knn
@@ -197,7 +198,9 @@ def generate_scene(cfg: SceneConfig) -> ScenePair:
 
     The target cloud is built by the configured shape; the source cloud is
     the target carried through the inverse pose, so gt_pairs align exactly.
+    InvalidInput unless `cfg` is a SceneConfig.
     """
+    _require_type(cfg, SceneConfig, "generate_scene")
     rng = np.random.default_rng(cfg.seed)
     axis = _random_unit_vector(rng)
     direction = _random_unit_vector(rng)
@@ -226,8 +229,11 @@ def generate_correspondences(scene: ScenePair, cfg: CorrespondenceConfig
     n - k pair a true source point with a uniform point in the target
     bounding box, redrawn until it clears OUTLIER_CLEARANCE_PR resolution
     units from the true match. Raises :class:`BadConfig` when the target
-    volume is too small to place such outliers.
+    volume is too small to place such outliers, and InvalidInput unless
+    `scene` is a ScenePair and `cfg` a CorrespondenceConfig.
     """
+    _require_type(scene, ScenePair, "generate_correspondences")
+    _require_type(cfg, CorrespondenceConfig, "generate_correspondences")
     n = cfg.n_correspondences
     k = round(n * cfg.inlier_ratio)
     pairs = scene.gt_pairs
@@ -277,6 +283,7 @@ def _check_sigma_pr(sigma_pr: float) -> None:
 
 def add_gaussian_noise(cloud: PointCloud, sigma_pr: float, seed: int) -> PointCloud:
     """Perturb every coordinate by N(0, (sigma_pr * resolution)^2)."""
+    _require_type(cloud, PointCloud, "add_gaussian_noise")
     _check_sigma_pr(sigma_pr)
     if sigma_pr == 0.0:
         return PointCloud(cloud.points)
@@ -302,6 +309,7 @@ def _uniform_keep_indices(n: int, keep_fraction: float) -> np.ndarray:
 def decimate_uniform(cloud: PointCloud, keep_fraction: float) -> PointCloud:
     """Keep every round(1/keep_fraction)-th point by index; a step of at
     least the cloud's size keeps point 0 alone."""
+    _require_type(cloud, PointCloud, "decimate_uniform")
     return cloud.select(_uniform_keep_indices(len(cloud), keep_fraction))
 
 
@@ -315,6 +323,7 @@ def _random_keep_indices(n: int, keep_fraction: float,
 def decimate_random(cloud: PointCloud, keep_fraction: float, seed: int
                     ) -> PointCloud:
     """Keep a uniform random subset of round(n * keep_fraction) points."""
+    _require_type(cloud, PointCloud, "decimate_random")
     rng = np.random.default_rng(seed)
     return cloud.select(_random_keep_indices(len(cloud), keep_fraction, rng))
 
@@ -353,6 +362,7 @@ def punch_holes(cloud: PointCloud, n_holes: int, hole_fraction: float,
     round(hole_fraction * n) nearest surviving neighbors (itself
     included), n being the original cloud size.
     """
+    _require_type(cloud, PointCloud, "punch_holes")
     rng = np.random.default_rng(seed)
     return cloud.select(
         _hole_survivor_indices(cloud.points, n_holes, hole_fraction, rng))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from ransacreg import (
     BadConfig,
+    CLOUD_KINDS,
     CorrespondenceConfig,
     CorrespondenceSet,
     EmptyGroundTruth,
@@ -42,7 +44,7 @@ from ransacreg.evalbench import (_DATA_AXES, _ROLE_CORR, _ROLE_NUISANCE,
                                  _derive_seed)
 from ransacreg.ransac import _sample_hypotheses, _score_hypotheses
 
-from conftest import random_rigid
+from conftest import check_prefix_winners, random_rigid, record_score_passes
 
 SCENE = SceneConfig(n_points=2000, shape="random-blob", gt_rotation_angle=0.8,
                     gt_translation_magnitude=30.0, diameter=100.0)
@@ -487,18 +489,25 @@ def test_one_stream_per_trial_and_correspondence_set(axis, monkeypatch):
     assert len(calls) == cfg.trials * per_trial
 
 
-def test_stream_prefix_argmax_equals_shorter_run():
+def test_stream_prefix_argmax_equals_shorter_run(monkeypatch):
     """The argmax over the first k hypotheses of a 1000-hypothesis stream
     is what run_ransac(iterations=k) returns, in iteration, score and
-    pose bits."""
+    pose bits, and what one scoring pass with every k as an end returns
+    as that prefix's winner."""
     scene = generate_scene(replace(SCENE, seed=61))
     corrs, _ = generate_correspondences(scene, CorrespondenceConfig(
         n_correspondences=200, inlier_ratio=0.1, inlier_sigma_pr=1.0, seed=62))
     spec = MetricPlan(kind="mae").bind(scene.target.resolution)
     rotations, translations = _sample_hypotheses(corrs, 63, 1000)
-    values, _ = _score_hypotheses(rotations, translations, (spec,), corrs)
+    passes = record_score_passes(monkeypatch)
+    ends = (1, 2, 10, 99, 250, 777, 1000)
+    _score_hypotheses(rotations, translations, (spec,), ends, corrs)
+    monkeypatch.undo()
+    [record] = passes
+    check_prefix_winners(record)
+    values = record[2]
     winners = set()
-    for k in (1, 2, 10, 99, 250, 777, 1000):
+    for k in ends:
         best = int(np.argmax(values[0, :k]))
         winners.add(best)
         result = run_ransac(RansacConfig(metric=spec, seed=63, iterations=k),
@@ -518,7 +527,8 @@ def test_cloud_stream_prefix_argmax_equals_shorter_run(monkeypatch):
     blocks: hypotheses the pass stops score -inf, and every prefix's
     argmax is still what run_ransac(iterations=k) returns for that spec,
     in iteration, score and pose bits, and each winning score has
-    evaluate_hypothesis_cloud's bits."""
+    evaluate_hypothesis_cloud's bits; the pass returns that argmax as
+    the prefix's winner."""
     monkeypatch.setattr("ransacreg.metrics._CLOUD_BLOCK", 256)
     scene = generate_scene(replace(SCENE, seed=64))
     corrs, _ = generate_correspondences(scene, CorrespondenceConfig(
@@ -527,12 +537,17 @@ def test_cloud_stream_prefix_argmax_equals_shorter_run(monkeypatch):
     specs = tuple(MetricPlan(kind=kind).bind(scene.target.resolution)
                   for kind in ("pc-dist", "overlap-count"))
     rotations, translations = _sample_hypotheses(corrs, 66, 400)
-    values, _ = _score_hypotheses(rotations, translations, specs, corrs,
-                                  scene.source, index)
+    passes = record_score_passes(monkeypatch)
+    ends = (1, 2, 10, 99, 250, 400)
+    _score_hypotheses(rotations, translations, specs, ends, corrs,
+                      scene.source, index)
+    [record] = passes
+    check_prefix_winners(record)
+    values = record[2]
     assert np.isneginf(values).any()
     for k, spec in enumerate(specs):
         winners = set()
-        for n_hyp in (1, 2, 10, 99, 250, 400):
+        for n_hyp in ends:
             best = int(np.argmax(values[k, :n_hyp]))
             winners.add(best)
             result = run_ransac(RansacConfig(metric=spec, seed=66,
@@ -549,6 +564,89 @@ def test_cloud_stream_prefix_argmax_equals_shorter_run(monkeypatch):
             np.testing.assert_array_equal(result.best_transform.translation,
                                           translations[best])
         assert len(winners) > 2, spec.kind
+
+
+def test_iterations_sweep_winners_equal_shorter_runs_at_chunk_ends(
+        monkeypatch):
+    """An iterations sweep of mae and pc-dist scores each trial's
+    40-hypothesis stream in 10-row chunks, with budgets on, just before and
+    just after chunk ends. Each budget's winner is what
+    run_ransac(iterations=k) returns: its iteration is the first maximum
+    of the scores the sweep's pass gave over the prefix, its score has
+    that score's bits, its pose has the stream's bits, and with every
+    trial correct the row's mean RMSE has the bits of those poses'."""
+    n_corrs = 60
+    monkeypatch.setattr("ransacreg.metrics._BATCH_ELEMENTS", 10 * n_corrs)
+    budgets = (1, 9, 10, 11, 25, 40)
+    cfg = EvalConfig(metrics=(MetricPlan(kind="mae"),
+                              MetricPlan(kind="pc-dist")),
+                     sweep_axis="iterations", sweep_values=budgets, trials=2,
+                     d_rmse_pr=1e6, base_seed=67)
+    corr_cfg = CorrespondenceConfig(n_correspondences=n_corrs,
+                                    inlier_ratio=0.2, inlier_sigma_pr=1.0)
+    records, trials = [], evalbench_module._trials
+
+    def keeping(*args):
+        for rec in trials(*args):
+            records.append(rec)
+            yield rec
+
+    monkeypatch.setattr(evalbench_module, "_trials", keeping)
+    passes = record_score_passes(monkeypatch)
+    rows = {(row.metric, row.sweep_value): row
+            for row in run_experiment(cfg, SCENE, corr_cfg)}
+    monkeypatch.undo()
+    assert [len(rec.rotations) for rec in records] == [40, 40]
+    assert len(passes) == 2 * cfg.trials  # one per kind and trial
+    for plan in cfg.metrics:
+        for k in budgets:
+            rmse_pr = 0.0
+            for trial, rec in enumerate(records):
+                spec = plan.bind(rec.pr)
+                [values] = [values[specs.index(spec)]
+                            for specs, _, values, _ in passes[2 * trial:][:2]
+                            if spec in specs]
+                result = run_ransac(RansacConfig(
+                    metric=spec, iterations=k,
+                    seed=_derive_seed(cfg.base_seed, trial, _ROLE_RANSAC)),
+                    rec.corrs, rec.source, rec.index)
+                best = int(np.argmax(values[:k]))
+                assert result.best_iteration == best, (plan.kind, k, trial)
+                assert (np.float64(result.best_score.value).view(np.uint64)
+                        == values[best:best + 1].view(np.uint64)[0])
+                np.testing.assert_array_equal(result.best_transform.rotation,
+                                              rec.rotations[best])
+                np.testing.assert_array_equal(
+                    result.best_transform.translation, rec.translations[best])
+                rmse_pr += rmse(result.best_transform, rec.gt_pairs) / rec.pr
+            row = rows[plan.kind.value, float(k)]
+            assert row.accuracy == 1.0
+            assert row.mean_rmse_pr == rmse_pr / cfg.trials, (plan.kind, k)
+
+
+def test_scoring_keeps_no_specs_by_hypotheses_array():
+    """Scoring a 100 000-hypothesis stream under 24 specs keeps only each
+    spec's winners: the traced peak stays below half of the 19.2 MB that
+    one float64 array of 24 x 100 000 scores takes."""
+    h = 100_000
+    rng = np.random.default_rng(68)
+    corrs = CorrespondenceSet(rng.normal(size=(100, 3)) * 10,
+                              rng.normal(size=(100, 3)) * 10)
+    rotations = np.broadcast_to(np.eye(3), (h, 3, 3))
+    translations = np.zeros((h, 3))
+    specs = tuple(MetricSpec(kind=kind, t=t)
+                  for kind in sorted(MetricKind) if kind not in CLOUD_KINDS
+                  for t in (5.0, 10.0, 20.0))
+    assert len(specs) == 24
+    tracemalloc.start()
+    try:
+        scored = _score_hypotheses(rotations, translations, specs, (h,),
+                                   corrs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(winners) for winners, _ in scored] == [1] * 24
+    assert peak < len(specs) * h * 8 / 2, peak
 
 
 def test_bad_data_axis_values_raise_before_any_scene(monkeypatch):

@@ -14,6 +14,7 @@ from scipy.spatial.transform import Rotation
 from ransacreg import (
     DegenerateSample,
     InsufficientPairs,
+    InvalidInput,
     PointCloud,
     RigidTransform,
     TooFewPoints,
@@ -53,6 +54,19 @@ def test_point_cloud_select_with_no_indices_selects_nothing():
         assert cloud.select(none).points.shape == (0, 3)
     mask = np.array([False, True, False, False, True])
     np.testing.assert_array_equal(cloud.select(mask).points, cloud.points[[1, 4]])
+
+
+def test_point_cloud_select_rejects_indices_numpy_cannot_take():
+    """An index out of [-n, n), a non-integral index or a mask of the wrong
+    length raises InvalidInput, not IndexError; -n and n - 1 select."""
+    cloud = PointCloud(np.arange(15, dtype=np.float64).reshape(5, 3))
+    for bad in ([100], [5], [-6], [1.5], [1.0], np.zeros(4, dtype=bool),
+                ["a"], [None]):
+        with pytest.raises(InvalidInput, match=r"indices must be integers "
+                           r"in \[-5, 5\) or a mask of 5 booleans"):
+            cloud.select(bad)
+    np.testing.assert_array_equal(cloud.select([-5, 4]).points,
+                                  cloud.points[[0, 4]])
 
 
 def test_point_cloud_resolution_matches_free_function():

@@ -39,7 +39,8 @@ from ransacreg import metrics as metrics_module
 from ransacreg.metrics import _cloud_values_batch, _corr_values_batch
 from ransacreg.spatial import _MOVED_LIMIT, NeighborIndex
 
-from conftest import random_rigid, random_rotation
+from conftest import (check_prefix_winners, random_rigid, random_rotation,
+                      record_score_passes)
 
 SPEC = MetricSpec(kind=MetricKind.MAE, t=7.5, m=0.9, pr=1.0)
 
@@ -155,6 +156,15 @@ def test_take_with_no_indices_selects_nothing():
     np.testing.assert_array_equal(corrs.take(mask).targets, corrs.targets[[0, 3]])
     np.testing.assert_array_equal(corrs.take(np.array([4, 4])).sources,
                                   corrs.sources[[4, 4]])
+
+
+def test_take_rejects_indices_numpy_cannot_take():
+    """An index out of range or a non-integral one raises InvalidInput,
+    not IndexError."""
+    corrs = random_corrs(np.random.default_rng(32), n=5)
+    for bad in ([100], [-6], [1.5], np.ones(6, dtype=bool)):
+        with pytest.raises(InvalidInput, match="indices must be integers"):
+            corrs.take(bad)
 
 
 # ------------------------------------------------------ transformation error
@@ -548,15 +558,19 @@ def _check_batch_equals_sequential(monkeypatch, kinds):
     translations = rng.standard_normal((h, 3)) * 10
     specs = [spec_for(kind, t=t) for kind in sorted(kinds)
              for t in (2.5, 7.5)]
+    passes = record_score_passes(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the two threads finely
     try:
-        batch, seconds = _corr_values_batch(specs, rotations, translations,
-                                            corrs.sources, corrs.targets)
+        _corr_values_batch(specs, rotations, translations,
+                           (10, 20, 30, 40, 50, 60, 64), corrs.sources,
+                           corrs.targets)
     finally:
         sys.setswitchinterval(interval)
+    [record] = passes
+    batch = record[2]
     assert batch.shape == (len(specs), h)
-    assert seconds.shape == (len(specs),) and np.all(seconds >= 0.0)
+    check_prefix_winners(record)
     assert len(seen) == 7 and len({b.ctypes.data for b in seen}) == 2
     monkeypatch.setattr(metrics_module, "_errors_batch", kernel)
     for k, spec in enumerate(specs):
@@ -574,7 +588,9 @@ def test_batch_scoring_equals_sequential_bitwise(monkeypatch):
     error pass, across chunk boundaries: 7 chunks of 10 rows with a partial
     last chunk. A helper thread computes each chunk's errors while the
     caller reduces the previous one, so consecutive chunks must land in
-    different result buffers, and only the helper may run the kernel."""
+    different result buffers, and only the helper may run the kernel.
+    The winner the pass returns at each chunk's end is the first maximum
+    of those scores over that prefix."""
     _check_batch_equals_sequential(monkeypatch, CORRESPONDENCE_KINDS)
 
 
@@ -633,7 +649,9 @@ def _check_against_masked_scatter(monkeypatch, specs, squares):
     """Stub the kernel to return the squared errors `squares` (hypothesis i
     is row i, addressed by its x translation) and compare one pass over
     every spec with the masked scatter on their sqrt; chunks of 5 rows
-    with a partial last chunk. Returns the errors."""
+    with a partial last chunk, and the pass's winner at each chunk's end
+    is the first maximum of the scores over that prefix. Returns the
+    errors."""
     def kernel(rot, trans, src, tgt, out=None):
         return squares[trans[:, 0].astype(np.intp)]
 
@@ -642,10 +660,14 @@ def _check_against_masked_scatter(monkeypatch, specs, squares):
     monkeypatch.setattr(metrics_module, "_BATCH_ELEMENTS", 5 * n)
     translations = np.zeros((h, 3))
     translations[:, 0] = np.arange(h)
-    batch, seconds = _corr_values_batch(
+    passes = record_score_passes(monkeypatch)
+    _corr_values_batch(
         specs, np.broadcast_to(np.eye(3), (h, 3, 3)), translations,
-        np.zeros((n, 3)), np.zeros((n, 3)))
-    assert seconds.shape == (len(specs),) and np.all(seconds >= 0.0)
+        [*range(5, h, 5), h], np.zeros((n, 3)), np.zeros((n, 3)))
+    [record] = passes
+    batch = record[2]
+    assert batch.shape == (len(specs), h)
+    check_prefix_winners(record)
 
     errors = np.sqrt(squares)
     for k, spec in enumerate(specs):
@@ -719,7 +741,8 @@ def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
     Every finite score has the reference's bits, and the far hypothesis,
     which the target's bounding sphere lets the pass stop before its one
     block, may score -inf instead, as long as an earlier exact score beats
-    it on every spec and every prefix's first maximum stays exact."""
+    it on every spec and every prefix's first maximum stays exact; the
+    pass's winner of every prefix is the first maximum of its scores."""
     x, y, z = np.mgrid[0:6, 0:6, 0:6]
     lattice = 2.0 * np.column_stack([x.ravel(), y.ravel(), z.ravel()])
     tgt = np.vstack([lattice, lattice[:20]])  # duplicated target points
@@ -763,7 +786,12 @@ def test_cloud_batch_matches_per_hypothesis_query_bitwise(monkeypatch):
         # The pass reaches the tree only through nearest_distances: at most
         # one call per hypothesis, each on a pool thread.
         monkeypatch.setattr(NeighborIndex, "nearest_distances", recording)
-        got, _ = _cloud_values_batch(specs, rotations, translations, src, index)
+        passes = record_score_passes(monkeypatch)
+        _cloud_values_batch(specs, rotations, translations, range(1, h + 1),
+                            src, index)
+        [record] = passes
+        check_prefix_winners(record)
+        got = record[2]
         stopped = np.isneginf(got[0])
         np.testing.assert_array_equal(np.isneginf(got),
                                       np.broadcast_to(stopped, got.shape))
@@ -788,8 +816,9 @@ def test_cloud_batch_stops_hypotheses_an_earlier_one_beats(monkeypatch):
     a stopped hypothesis scores -inf on every spec and some earlier
     hypothesis's exact score is at least its own on each, and every
     prefix's first maximum is the exact one, so a repeated pose never
-    wins. The threads switch every microsecond, so tasks read the best
-    scores while the calling thread publishes them."""
+    wins, and the pass's winner of every prefix is that first maximum.
+    The threads switch every microsecond, so tasks read the best scores
+    while the calling thread raises them."""
     monkeypatch.setattr(metrics_module, "_CLOUD_BLOCK", 16)
     x, y, z = np.mgrid[0:6, 0:6, 0:6]
     lattice = 2.0 * np.column_stack([x.ravel(), y.ravel(), z.ravel()])
@@ -828,14 +857,18 @@ def test_cloud_batch_stops_hypotheses_an_earlier_one_beats(monkeypatch):
                 return distances(self, queries)
 
             monkeypatch.setattr(NeighborIndex, "nearest_distances", counting)
+            passes = record_score_passes(monkeypatch)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)  # interleave the threads finely
             try:
-                got, _ = _cloud_values_batch(specs, rotations, translations,
-                                             src, index)
+                _cloud_values_batch(specs, rotations, translations,
+                                    range(1, h + 1), src, index)
             finally:
                 sys.setswitchinterval(interval)
             monkeypatch.setattr(NeighborIndex, "nearest_distances", distances)
+            [record] = passes
+            check_prefix_winners(record)
+            got = record[2]
             stopped = np.isneginf(got[0])
             np.testing.assert_array_equal(np.isneginf(got),
                                           np.broadcast_to(stopped, got.shape))
@@ -911,7 +944,8 @@ def test_cloud_batch_stops_a_hypothesis_beyond_the_sphere_unqueried(
     beyond the target's bounding sphere, submitted after an earlier exact
     hypothesis has published its scores, is stopped before its first k-d
     tree query and scores -inf on every spec; the others keep their
-    evaluate_hypothesis_cloud bits, one call each."""
+    evaluate_hypothesis_cloud bits, one call each, and the pass's winner
+    of every prefix is the first maximum of those scores."""
     x, y, z = np.mgrid[0:6, 0:6, 0:6]
     lattice = 2.0 * np.column_stack([x.ravel(), y.ravel(), z.ravel()])
     index = build_index(lattice)
@@ -935,8 +969,13 @@ def test_cloud_batch_stops_a_hypothesis_beyond_the_sphere_unqueried(
         return distances(self, queries)
 
     monkeypatch.setattr(NeighborIndex, "nearest_distances", recording)
-    got, _ = _cloud_values_batch(specs, rotations, translations, src, index)
+    passes = record_score_passes(monkeypatch)
+    _cloud_values_batch(specs, rotations, translations, range(1, 5), src,
+                        index)
     monkeypatch.undo()
+    [record] = passes
+    check_prefix_winners(record)
+    got = record[2]
     assert len(queried) == 3
     assert all(q[:, 0].max() < 20.0 for q in queried)  # none moved by 40
     assert np.all(np.isneginf(got[:, 3]))

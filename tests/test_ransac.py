@@ -23,19 +23,30 @@ from ransacreg import (
     RigidTransform,
     TooFewCorrespondences,
     CorrespondenceConfig,
+    EvalConfig,
     SceneConfig,
+    add_gaussian_noise,
     build_index,
+    decimate_random,
+    decimate_uniform,
     estimate_rigid_transform,
     evaluate_hypothesis,
     evaluate_hypothesis_cloud,
     generate_correspondences,
     generate_scene,
+    punch_holes,
     rmse,
+    run_experiment,
     run_ransac,
     sample_minimal,
+    score_correspondence,
+    score_errors,
     time_metric_evaluation,
+    transformation_errors,
     triangle_area,
+    write_cloud_file,
 )
+from ransacreg.cloudio import write_correspondence_file, write_transform_file
 from ransacreg import metrics as metrics_module
 from ransacreg import ransac as ransac_module
 from ransacreg.geom import _degeneracy_threshold
@@ -125,11 +136,20 @@ def test_sample_minimal_rejects_all_collinear():
 @pytest.mark.parametrize("case", [
     "run_ransac", "sample_minimal", "mae", "run_ransac-config",
     "run_ransac-target_index", "pc-dist-target_index", "rmse",
-    "mae-transform", "pc-dist-transform", "time_metric_evaluation"])
-def test_non_correspondence_set_is_invalid_input(case):
+    "mae-transform", "pc-dist-transform", "time_metric_evaluation",
+    "evaluate_hypothesis-spec", "evaluate_hypothesis_cloud-spec",
+    "score_errors-spec", "score_correspondence-spec",
+    "time_metric_evaluation-spec", "punch_holes", "decimate_uniform",
+    "decimate_random", "add_gaussian_noise", "write_cloud_file",
+    "write_correspondence_file", "write_transform_file",
+    "transformation_errors", "generate_scene", "generate_correspondences",
+    "run_experiment"])
+def test_non_correspondence_set_is_invalid_input(case, tmp_path):
     """An argument of the wrong type, such as a (sources, targets) tuple
-    for a CorrespondenceSet or an (R, t) tuple for a RigidTransform, raises
-    InvalidInput naming what needs which type, not an AttributeError."""
+    for a CorrespondenceSet, an (R, t) tuple for a RigidTransform, a kind
+    name for a MetricSpec, an array for a PointCloud or a dict for a
+    config, raises InvalidInput naming what needs which type, not an
+    AttributeError; a writer raises before it creates its file."""
     points = np.random.default_rng(0).normal(size=(10, 3))
     pair, corrs = (points, points), CorrespondenceSet(points, points)
     pose, ident = (np.eye(3), np.zeros(3)), RigidTransform.identity()
@@ -160,10 +180,55 @@ def test_non_correspondence_set_is_invalid_input(case):
             "pc-dist needs a RigidTransform, got tuple"),
         "time_metric_evaluation": (lambda: time_metric_evaluation(
             MAE, [pose], corrs), "mae needs a RigidTransform, got tuple"),
+        "evaluate_hypothesis-spec": (lambda: evaluate_hypothesis(
+            "mae", ident, corrs),
+            "evaluate_hypothesis needs a MetricSpec, got str"),
+        "evaluate_hypothesis_cloud-spec": (lambda: evaluate_hypothesis_cloud(
+            "pc-dist", ident, points, build_index(points)),
+            "evaluate_hypothesis_cloud needs a MetricSpec, got str"),
+        "score_errors-spec": (lambda: score_errors("mae", [0.5]),
+                              "score_errors needs a MetricSpec, got str"),
+        "score_correspondence-spec": (lambda: score_correspondence(
+            "mae", 0.5), "score_correspondence needs a MetricSpec, got str"),
+        "time_metric_evaluation-spec": (lambda: time_metric_evaluation(
+            "mae", [ident], corrs),
+            "time_metric_evaluation needs a MetricSpec, got str"),
+        "punch_holes": (lambda: punch_holes(points, 1, 0.1, 0),
+                        "punch_holes needs a PointCloud, got ndarray"),
+        "decimate_uniform": (lambda: decimate_uniform(points, 0.5),
+                             "decimate_uniform needs a PointCloud, got ndarray"),
+        "decimate_random": (lambda: decimate_random(points, 0.5, 0),
+                            "decimate_random needs a PointCloud, got ndarray"),
+        "add_gaussian_noise": (lambda: add_gaussian_noise(points, 1.0, 0),
+                               "add_gaussian_noise needs a PointCloud, "
+                               "got ndarray"),
+        "write_cloud_file": (lambda: write_cloud_file(
+            tmp_path / "cloud.xyz", points),
+            "write_cloud_file needs a PointCloud, got ndarray"),
+        "write_correspondence_file": (lambda: write_correspondence_file(
+            tmp_path / "corrs.txt", pair),
+            "write_correspondence_file needs a CorrespondenceSet, got tuple"),
+        "write_transform_file": (lambda: write_transform_file(
+            tmp_path / "gt.txt", pose),
+            "write_transform_file needs a RigidTransform, got tuple"),
+        "transformation_errors": (lambda: transformation_errors(ident, pair),
+                                  "transformation_errors needs a "
+                                  "CorrespondenceSet, got tuple"),
+        "generate_scene": (lambda: generate_scene({"seed": 0}),
+                           "generate_scene needs a SceneConfig, got dict"),
+        "generate_correspondences": (lambda: generate_correspondences(
+            generate_scene(SceneConfig(n_points=20)), {"seed": 0}),
+            "generate_correspondences needs a CorrespondenceConfig, "
+            "got dict"),
+        "run_experiment": (lambda: run_experiment(
+            {"trials": 1}, SceneConfig(), CorrespondenceConfig(
+                n_correspondences=10, inlier_ratio=0.5)),
+            "run_experiment needs an EvalConfig, got dict"),
     }[case]
     with pytest.raises(InvalidInput) as excinfo:
         call()
     assert str(excinfo.value) == message
+    assert not any(tmp_path.iterdir())
 
 
 def test_sample_minimal_skips_degenerate_triples():
@@ -213,10 +278,11 @@ def _degenerate_heavy_set():
 @pytest.mark.parametrize("n", [3, 4, 5, 1000, 100_000])
 def test_bulk_sampling_matches_the_sample_minimal_loop(n):
     """_sample_triples returns what 1000 sample_minimal calls return, for
-    40 seeds. The decode is numpy's choice(n, 3, replace=False) for
-    numpy 2.4 (Floyd's algorithm, then a two-step shuffle, five bounded
-    32-bit words per call): if this fails after a numpy upgrade, choice
-    has changed and the decode must follow it (or be removed)."""
+    40 seeds. `_choices` rebuilds numpy's choice(n, 3, replace=False) for
+    numpy 2.4 from five bounded integers per call, drawn by one
+    Generator.integers call (Floyd's algorithm, then a two-step shuffle):
+    if this fails after a numpy upgrade, choice has changed and `_choices`
+    must follow it (or be removed)."""
     src = np.random.default_rng(n).normal(size=(n, 3)) * 50.0
     corrs = CorrespondenceSet(src, src)
     min_area = _degeneracy_threshold(corrs.sources)
